@@ -192,6 +192,17 @@ fn parse_args() -> Result<Args, String> {
     if args.cores < 1 || args.blocks < 1 || args.ops < 1 {
         return Err("--cores, --blocks and --ops must be >= 1".into());
     }
+    // The checker's state key packs each core's remaining issue budget
+    // into one nibble, plus one more for the fault budget.
+    if args.cores > 16 {
+        return Err("--cores must be <= 16".into());
+    }
+    if args.ops > 15 {
+        return Err("--ops must be <= 15".into());
+    }
+    if args.fault_budget > 0 && args.cores > 15 {
+        return Err("--fault-budget needs --cores <= 15".into());
+    }
     Ok(args)
 }
 

@@ -69,15 +69,16 @@ use crate::{
 /// which changed state hashing (empty channels now hash canonically
 /// instead of by insertion history).
 ///
-/// Deliberately NOT bumped for the payload/data split: shard cache keys
-/// are built from these textual fields, never from
-/// `System::fingerprint` (see [`SweepSpec::key`]), so the in-process
-/// fingerprint scheme is free to change representation as long as it
-/// still partitions logical states correctly. The split keeps that
-/// property by hashing each queued message's logical form rather than
-/// its pool slot — pinned by
-/// `fingerprint_independent_of_data_slot_assignment` in the core
-/// harness and `check_revision_pinned` below.
+/// Deliberately NOT bumped for the payload/data split or for the
+/// one-pass state hasher: shard cache keys are built from these textual
+/// fields, never from `System::fingerprint` (see [`SweepSpec::key`]),
+/// so the in-process fingerprint is free to change its bits as long as
+/// it still partitions logical states exactly as before. Both changes
+/// hash the same logical content (each queued message's logical form,
+/// never its pool slot; unordered tables in block order). The partition
+/// is pinned by the `sweep_golden` test's state and transition counts,
+/// slot independence by `fingerprint_independent_of_data_slot_assignment`
+/// in the core harness, and the value by `check_revision_pinned` below.
 pub const CHECK_REVISION: u64 = 3;
 
 /// Schema version of the cached shard record payload.
@@ -148,9 +149,11 @@ impl SweepSpec {
     }
 
     /// Canonical cache-key string. Built from textual spec fields only
-    /// — never from `System::fingerprint`, whose `DefaultHasher` output
-    /// is not stable across Rust versions (fine in-process, fatal for
-    /// an on-disk cache).
+    /// — never from `System::fingerprint`, an in-process hash whose bits
+    /// may change with any change to the hashed layout or the hasher
+    /// (fine for a visited set, fatal for an on-disk cache). So a new
+    /// hasher needs no `CHECK_REVISION` bump, only an unchanged state
+    /// partition.
     pub fn key(&self) -> String {
         let mut key = format!(
             "check-rev={CHECK_REVISION}|{}|{}c|{}b|ops={}|gi={}|tight={}|mut={}",

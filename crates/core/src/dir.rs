@@ -19,6 +19,7 @@ use std::collections::VecDeque;
 
 use crate::config::BaseProtocol;
 use crate::fault::RecoveryParams;
+use crate::harness::hash_in_block_order;
 use crate::msg::{Endpoint, Grant, Msg, OwnerXfer, Payload, WireTag};
 use crate::proto::{Controller, DirRowId, DirRowSet, Homing, ProtocolError};
 use crate::stats::Stats;
@@ -258,14 +259,6 @@ impl Mshr {
             .iter()
             .all(|s| s.txns.is_empty() && s.queues.iter().all(|(_, q)| q.is_empty()))
     }
-
-    fn iter_txns(&self) -> impl Iterator<Item = &(BlockAddr, Txn)> {
-        self.sets.iter().flat_map(|s| s.txns.iter())
-    }
-
-    fn iter_queues(&self) -> impl Iterator<Item = &(BlockAddr, VecDeque<Request>)> {
-        self.sets.iter().flat_map(|s| s.queues.iter())
-    }
 }
 
 /// One bank of the shared L2 with its directory slice.
@@ -302,19 +295,18 @@ pub struct DirBank {
 
 impl std::hash::Hash for DirBank {
     /// Architectural-state hash for the model checker's visited set. The
-    /// unordered maps are hashed in sorted block order so equal states
-    /// hash equally regardless of insertion history; `stalled` keeps its
-    /// order because retry order is architecturally visible.
+    /// unordered MSHR tables are hashed set by set, each in block order,
+    /// so equal states hash equally regardless of insertion history;
+    /// `stalled` keeps its order because retry order is architecturally
+    /// visible.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.bank.hash(state);
         self.mem_homing.hash(state);
         self.cache.hash(state);
-        let mut busy: Vec<_> = self.mshr.iter_txns().collect();
-        busy.sort_by_key(|(b, _)| *b);
-        busy.hash(state);
-        let mut queues: Vec<_> = self.mshr.iter_queues().collect();
-        queues.sort_by_key(|(b, _)| *b);
-        queues.hash(state);
+        for set in &self.mshr.sets {
+            hash_in_block_order(&set.txns, state);
+            hash_in_block_order(&set.queues, state);
+        }
         self.stalled.hash(state);
         // Architectural only when recovery is configured; hashed
         // conditionally so recovery-off hashes are untouched.

@@ -263,11 +263,19 @@ impl FaultConfig {
 /// `(seed, stream, n)`.
 #[inline]
 pub fn mix(seed: u64, stream: u64, n: u64) -> u64 {
-    let mut z = seed
+    let z = seed
         .wrapping_mul(0x9e3779b97f4a7c15)
         .wrapping_add(stream.wrapping_mul(0xbf58476d1ce4e5b9))
         .wrapping_add(n.wrapping_mul(0x94d049bb133111eb))
         .wrapping_add(0x2545f4914f6cdd1d);
+    fmix64(z)
+}
+
+/// The splitmix64 output finaliser: a bijective avalanche of one word.
+/// Also finalises the lanes of the checker's state fingerprint
+/// (`System::fingerprint`).
+#[inline]
+pub(crate) fn fmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)

@@ -1073,15 +1073,12 @@ impl System {
     /// block pool and the value-oracle bookkeeping. Statistics and the
     /// completed/messages counters are excluded — they never influence a
     /// transition or a check.
+    ///
+    /// One pass into a `StateHasher`, allocation-free: queued messages
+    /// are hashed by reference through `CtlMsg::hash_logical`, and the
+    /// controllers' unordered tables through `hash_in_block_order`.
     pub fn fingerprint(&self) -> u128 {
-        let lo = self.hash_with_salt(0x9E37_79B9_7F4A_7C15);
-        let hi = self.hash_with_salt(0xC2B2_AE3D_27D4_EB4F);
-        (u128::from(hi) << 64) | u128::from(lo)
-    }
-
-    fn hash_with_salt(&self, salt: u64) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        salt.hash(&mut h);
+        let mut h = StateHasher::default();
         self.l1s.iter().for_each(|l1| l1.hash(&mut h));
         self.banks.iter().for_each(|b| b.hash(&mut h));
         // Hash each queued message's *logical* form, never its DataRef
@@ -1092,7 +1089,7 @@ impl System {
         for q in &self.net {
             q.len().hash(&mut h);
             for m in q {
-                m.logical(&self.data).hash(&mut h);
+                m.hash_logical(&self.data, &mut h);
             }
         }
         self.pending.hash(&mut h);
@@ -1102,7 +1099,127 @@ impl System {
         for b in 0..self.cfg.blocks {
             self.dram.read_block(self.block_of(b)).hash(&mut h);
         }
-        h.finish()
+        h.finish128()
+    }
+}
+
+/// Two-lane 128-bit [`Hasher`] behind [`System::fingerprint`].
+///
+/// Every `write_*` call feeds one 64-bit word (byte slices: one word per
+/// 8 bytes, the short tail tagged with its length) into two independent
+/// xor-multiply lanes, the second fed the word rotated by 32 bits so
+/// the high half of every word also reaches the low bits of a lane;
+/// [`StateHasher::finish128`] finalises them with the splitmix64
+/// avalanche (`fault::fmix64`). Each lane step is a bijection of the
+/// lane for a fixed word and of the word for a fixed lane, so two word
+/// streams of equal length that differ in a single word can never
+/// collide. The derived `Hash` impls frame every variable-length part
+/// with its length, so equal streams mean equal states.
+///
+/// The lane step is one xor and one multiply because its latency is
+/// the fingerprint's critical path: a rotation inside the chain made a
+/// fingerprint about a fifth slower. The bits are in-process only:
+/// nothing on disk depends on them (shard cache keys are textual, see
+/// `SweepSpec::key` in the checker).
+struct StateHasher {
+    a: u64,
+    b: u64,
+}
+
+impl Default for StateHasher {
+    fn default() -> Self {
+        Self {
+            a: 0x9E37_79B9_7F4A_7C15,
+            b: 0xC2B2_AE3D_27D4_EB4F,
+        }
+    }
+}
+
+impl StateHasher {
+    #[inline(always)]
+    fn word(&mut self, x: u64) {
+        self.a = (self.a ^ x).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        self.b = (self.b ^ x.rotate_left(32)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    }
+
+    /// The 128-bit digest. `(a, b) ↦ (lo, hi)` is a bijection, so the
+    /// finaliser loses none of the two lanes' bits.
+    fn finish128(&self) -> u128 {
+        let lo = fault::fmix64(self.a);
+        let hi = fault::fmix64(self.b ^ lo);
+        (u128::from(hi) << 64) | u128::from(lo)
+    }
+}
+
+impl Hasher for StateHasher {
+    fn finish(&self) -> u64 {
+        self.finish128() as u64
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            w[7] = tail.len() as u8;
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.word(i as u64);
+        self.word((i >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
+    }
+}
+
+/// Hashes a small keyed table — `(block, value)` entries with distinct
+/// blocks, stored in insertion order — length first, then the entries
+/// in block order, so equal tables hash equally whatever their insertion
+/// history. Allocation-free: each step selects the next-larger block in
+/// place, which is quadratic, but the tables hold a few entries at most
+/// (a writeback buffer, one MSHR set).
+pub(crate) fn hash_in_block_order<T: Hash, H: Hasher>(entries: &[(BlockAddr, T)], state: &mut H) {
+    entries.len().hash(state);
+    let mut prev = None;
+    for _ in 0..entries.len() {
+        let next = entries
+            .iter()
+            .filter(|(b, _)| prev.is_none_or(|p| *b > p))
+            .min_by_key(|(b, _)| *b)
+            .expect("distinct blocks");
+        next.hash(state);
+        prev = Some(next.0);
     }
 }
 
@@ -1532,6 +1649,117 @@ mod tests {
         let mut c = System::new(cfg2());
         c.inject(data_msg(43));
         assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    /// A Dir 0 → L1 0 data grant carrying `data`.
+    fn grant(data: ghostwriter_mem::BlockData) -> Msg {
+        Msg {
+            src: Endpoint::Dir(0),
+            dst: Endpoint::L1(0),
+            block: BlockAddr(0x40),
+            payload: Payload::Data {
+                data,
+                grant: crate::msg::Grant::Shared,
+            },
+            tag: WireTag::default(),
+        }
+    }
+
+    /// A fresh 2-core system with `msgs` placed directly on the given
+    /// dense channel indices, bypassing the (src, dst) routing — so a
+    /// test can put the same message on any channel.
+    fn with_net(msgs: &[(usize, Msg)]) -> System {
+        let mut sys = System::new(cfg2());
+        for (chan, msg) in msgs {
+            let ctl = msg.clone().intern(&mut sys.data);
+            sys.net[*chan].push_back(ctl);
+        }
+        sys
+    }
+
+    #[test]
+    fn fingerprint_sees_every_bit_of_in_flight_data() {
+        let base = ghostwriter_mem::BlockData::zeroed();
+        let mut seen = std::collections::HashSet::new();
+        seen.insert(with_net(&[(2, grant(base))]).fingerprint());
+        for bit in 0..8 * base.as_bytes().len() {
+            let mut data = base;
+            data.as_bytes_mut()[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                seen.insert(with_net(&[(2, grant(data))]).fingerprint()),
+                "flipping data bit {bit} left the fingerprint unchanged"
+            );
+        }
+    }
+
+    #[test]
+    fn fingerprint_sees_order_within_a_channel() {
+        let x = grant(ghostwriter_mem::BlockData::zeroed());
+        let y = Msg {
+            payload: Payload::Inv,
+            ..x.clone()
+        };
+        assert_ne!(
+            with_net(&[(2, x.clone()), (2, y.clone())]).fingerprint(),
+            with_net(&[(2, y), (2, x)]).fingerprint(),
+            "swapping two queued messages must change the fingerprint"
+        );
+    }
+
+    #[test]
+    fn fingerprint_sees_which_channel_holds_a_message() {
+        let x = grant(ghostwriter_mem::BlockData::zeroed());
+        assert_ne!(
+            with_net(&[(2, x.clone())]).fingerprint(),
+            with_net(&[(3, x)]).fingerprint(),
+            "moving a message to another channel must change the fingerprint"
+        );
+    }
+
+    #[test]
+    fn block_order_hash_ignores_insertion_order() {
+        let digest = |table: &[(BlockAddr, char)]| {
+            let mut h = StateHasher::default();
+            hash_in_block_order(table, &mut h);
+            h.finish128()
+        };
+        let sorted = [
+            (BlockAddr(1), 'a'),
+            (BlockAddr(2), 'b'),
+            (BlockAddr(5), 'c'),
+        ];
+        let shuffled = [
+            (BlockAddr(5), 'c'),
+            (BlockAddr(1), 'a'),
+            (BlockAddr(2), 'b'),
+        ];
+        assert_eq!(digest(&sorted), digest(&shuffled));
+        assert_ne!(digest(&sorted), digest(&sorted[..2]));
+    }
+
+    #[test]
+    fn fingerprint_frames_adjacent_channels_by_length() {
+        // The same message sequence split differently across two
+        // adjacent channels: only the per-channel lengths tell them
+        // apart.
+        let x = grant(ghostwriter_mem::BlockData::zeroed());
+        let y = Msg {
+            payload: Payload::Inv,
+            ..x.clone()
+        };
+        let split = |at: usize| {
+            let msgs: Vec<(usize, Msg)> = [x.clone(), y.clone()]
+                .into_iter()
+                .enumerate()
+                .map(|(i, m)| (if i < at { 2 } else { 3 }, m))
+                .collect();
+            with_net(&msgs).fingerprint()
+        };
+        let fps = [split(0), split(1), split(2)];
+        assert!(
+            fps[0] != fps[1] && fps[1] != fps[2] && fps[0] != fps[2],
+            "channel boundaries must be framed by length: {fps:x?}"
+        );
     }
 
     #[test]

@@ -30,6 +30,7 @@ use ghostwriter_mem::{
 
 use crate::config::{BaseProtocol, GiStorePolicy};
 use crate::fault::RecoveryParams;
+use crate::harness::hash_in_block_order;
 use crate::msg::{Endpoint, Grant, Msg, OwnerXfer, Payload, WireTag};
 use crate::proto::{Controller, Homing, L1RowId, L1RowSet, ProtocolError};
 use crate::scribe::ScribePolicy;
@@ -252,9 +253,7 @@ impl std::hash::Hash for L1Cache {
         self.core.hash(state);
         self.cache.hash(state);
         self.pending.hash(state);
-        let mut wb: Vec<_> = self.wb_buffer.entries.iter().collect();
-        wb.sort_by_key(|(b, _)| *b);
-        wb.hash(state);
+        hash_in_block_order(&self.wb_buffer.entries, state);
         self.gw.hash(state);
         self.homing.hash(state);
         // The recovery bookkeeping is architectural *only* when recovery

@@ -5,6 +5,8 @@
 //! values routed over the mesh by the machine, which records each one in
 //! the Fig. 8 traffic statistics.
 
+use std::hash::{Hash, Hasher};
+
 use ghostwriter_mem::{BlockAddr, BlockData};
 use ghostwriter_noc::MessageKind;
 
@@ -83,7 +85,7 @@ impl WireTag {
 /// two runs (or two checker states) may assign different slot indices to
 /// the same logical traffic. Anything that compares or hashes messages
 /// must resolve the ref to its block first — see
-/// `System::fingerprint` in `harness.rs`.
+/// `CtlMsg::hash_logical`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct DataRef(u32);
 
@@ -293,9 +295,50 @@ impl CtlMsg {
         }
     }
 
+    /// Hashes the logical message this record denotes — `src`, `dst`,
+    /// `block`, the payload variant and its fields with every data slot
+    /// resolved to its block, then `tag` — by reference, without
+    /// building a [`Msg`] copy. Two records with equal logical messages
+    /// hash equally whatever slots their data occupies; this is how
+    /// `System::fingerprint` hashes in-flight traffic.
+    pub(crate) fn hash_logical<H: Hasher>(&self, pool: &DataPool, state: &mut H) {
+        self.src.hash(state);
+        self.dst.hash(state);
+        self.block.hash(state);
+        std::mem::discriminant(&self.payload).hash(state);
+        match &self.payload {
+            PayloadCtl::PutM { data }
+            | PayloadCtl::MemData { data }
+            | PayloadCtl::MemWrite { data } => pool.get(*data).hash(state),
+            PayloadCtl::Data { data, grant } => {
+                pool.get(*data).hash(state);
+                grant.hash(state);
+            }
+            PayloadCtl::DataToDir { data, xfer } => {
+                pool.get(*data).hash(state);
+                xfer.hash(state);
+            }
+            PayloadCtl::Gets
+            | PayloadCtl::Getx
+            | PayloadCtl::Upgrade
+            | PayloadCtl::PutS
+            | PayloadCtl::PutE
+            | PayloadCtl::Inv
+            | PayloadCtl::FwdGets
+            | PayloadCtl::FwdGetx
+            | PayloadCtl::UpgAck
+            | PayloadCtl::WbAck
+            | PayloadCtl::InvAck
+            | PayloadCtl::FwdNack
+            | PayloadCtl::Unblock
+            | PayloadCtl::MemRead => {}
+        }
+        self.tag.hash(state);
+    }
+
     /// The logical message this record denotes, *without* consuming the
-    /// data slot — for fingerprinting and fault-injection peeking,
-    /// where the message stays in flight.
+    /// data slot — for fault-injection peeking, where the message stays
+    /// in flight.
     pub fn logical(&self, pool: &DataPool) -> Msg {
         let payload = self.payload.clone().resolve_with(|r| *pool.get(r));
         Msg {

@@ -10,6 +10,7 @@
 //! cycles) is returned as a [`SweepLog`] and written as JSON next to the
 //! cache.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use ghostwriter_core::tester::{ProtocolTester, TesterConfig};
@@ -17,6 +18,7 @@ use ghostwriter_core::{BaseProtocol, GiStorePolicy, Json};
 use ghostwriter_workloads::execute;
 
 use crate::cache::{Miss, ResultCache};
+use crate::fingerprint::Fingerprint;
 use crate::pool::map_parallel;
 use crate::record::RunRecord;
 use crate::scenarios::run_scenario;
@@ -112,24 +114,24 @@ impl Engine {
     /// sweep log.
     pub fn run(&self, specs: &[RunSpec]) -> (Vec<RunRecord>, SweepLog) {
         let t0 = Instant::now();
-        // Dedup by fingerprint, keeping first-occurrence order.
-        let mut order: Vec<usize> = Vec::new(); // indices into `specs` of distinct cells
-        let mut slot_of: Vec<usize> = Vec::with_capacity(specs.len()); // spec -> distinct slot
-        for (i, spec) in specs.iter().enumerate() {
-            let fp = spec.fingerprint();
-            match order.iter().position(|&j| specs[j].fingerprint() == fp) {
-                Some(slot) => slot_of.push(slot),
-                None => {
-                    slot_of.push(order.len());
-                    order.push(i);
-                }
-            }
-        }
-        let distinct: Vec<&RunSpec> = order.iter().map(|&i| &specs[i]).collect();
+        // Dedup by fingerprint (each computed once), keeping
+        // first-occurrence order.
+        let mut distinct: Vec<(&RunSpec, Fingerprint)> = Vec::new();
+        let mut slot_by_fp: HashMap<Fingerprint, usize> = HashMap::with_capacity(specs.len());
+        let slot_of: Vec<usize> = specs // spec -> distinct slot
+            .iter()
+            .map(|spec| {
+                let fp = spec.fingerprint();
+                *slot_by_fp.entry(fp).or_insert_with(|| {
+                    distinct.push((spec, fp));
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        let deduped = specs.len() - distinct.len();
 
-        let outcomes = map_parallel(self.jobs, distinct.clone(), |_, spec| {
+        let outcomes = map_parallel(self.jobs, distinct, |_, (spec, fp)| {
             let cell_t0 = Instant::now();
-            let fp = spec.fingerprint();
             let (record, hit, corrupt) = if self.use_cache {
                 match self.cache.load(fp) {
                     Ok(rec) => (rec, true, false),
@@ -163,7 +165,7 @@ impl Engine {
         });
 
         let mut log = SweepLog {
-            deduped: specs.len() - distinct.len(),
+            deduped,
             ..Default::default()
         };
         let mut records_by_slot = Vec::with_capacity(outcomes.len());
