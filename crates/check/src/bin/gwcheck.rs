@@ -24,6 +24,7 @@
 
 use std::io::Write;
 
+use ghostwriter_check::trace::encode_action;
 use ghostwriter_check::{
     decode_trace, run_sweep, shard::Space, Mutation, ProtocolKind, ShardOptions, SweepSpec,
 };
@@ -37,7 +38,7 @@ USAGE:
 
 SWEEP OPTIONS:
     --cores <N>          cores / L1s / directory banks   [default: 2]
-    --blocks <N>         blocks in the address pool      [default: 1]
+    --blocks <N>         blocks in the address pool (<= 64) [default: 1]
     --ops <N>            program steps per core          [default: 2]
     --protocol <P>       mesi | msi | moesi | mosi | mesif | gw |
                          gw-moesi (repeatable; when omitted, every
@@ -73,7 +74,8 @@ REPLAY:
     --replay <TRACE>     replay a comma-joined action trace (as printed
                          under `replay:` in a failure report) against
                          the single configured sweep cell; exits 1 if
-                         the failure reproduces, 0 if the trace is clean
+                         the failure reproduces, 0 if the trace is clean,
+                         2 if an action is not enabled where it stands
 
     -h, --help           print this help
 
@@ -203,6 +205,11 @@ fn parse_args() -> Result<Args, String> {
     if args.fault_budget > 0 && args.cores > 15 {
         return Err("--fault-budget needs --cores <= 15".into());
     }
+    // The L2 holds the whole pool in one set, and a cache has at most
+    // 64 ways.
+    if args.blocks > 64 {
+        return Err("--blocks must be <= 64".into());
+    }
     Ok(args)
 }
 
@@ -217,7 +224,8 @@ fn spec_for(args: &Args, kind: ProtocolKind, ops: usize, gi: bool) -> SweepSpec 
 }
 
 /// `gwcheck --replay`: decode and replay one trace against the single
-/// configured cell. Exit 1 = failure reproduced, 0 = clean trace.
+/// configured cell. Exit 1 = failure reproduced, 0 = clean trace,
+/// 2 = the trace cannot run (an action is not enabled at its position).
 fn run_replay(args: &Args, text: &str) -> i32 {
     if args.protocols.len() != 1 {
         eprintln!("gwcheck: --replay needs exactly one --protocol");
@@ -238,14 +246,22 @@ fn run_replay(args: &Args, text: &str) -> i32 {
             ),
     );
     let space = Space::new(&spec);
-    match space.replay(&trace) {
-        Some(failure) => {
+    match space.replay_strict(&trace) {
+        Ok(Some(failure)) => {
             println!("REPRODUCED  {}: {failure}", spec.label());
             1
         }
-        None => {
+        Ok(None) => {
             println!("CLEAN  {}: trace does not fail", spec.label());
             0
+        }
+        Err(i) => {
+            eprintln!(
+                "gwcheck: --replay action {i} ({}) is not enabled at that point in {}",
+                encode_action(trace[i]),
+                spec.label()
+            );
+            2
         }
     }
 }

@@ -208,6 +208,75 @@ pub(crate) fn deliver_mutated(
     }
 }
 
+/// Remaining per-core issue budgets, plus the fault budget left in
+/// bounded-fault mode, packed 4 bits per slot (slot `i` in bits
+/// `4i..4i + 4`, so at most 16 slots of at most 15 each). A `Copy`
+/// value: a search forks it for free, and it keys the visited set as
+/// it is, next to the system fingerprint.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Budgets(u64);
+
+impl Budgets {
+    /// Packs `slots` in order.
+    ///
+    /// # Panics
+    /// Panics on more than 16 slots or a slot above 15.
+    pub(crate) fn new(slots: impl IntoIterator<Item = usize>) -> Self {
+        let mut packed = 0;
+        for (i, left) in slots.into_iter().enumerate() {
+            assert!(
+                i < 16 && left <= 15,
+                "budgets pack into at most 16 slots of 4 bits"
+            );
+            packed |= (left as u64) << (4 * i);
+        }
+        Self(packed)
+    }
+
+    /// Budget left in slot `i`.
+    pub(crate) fn get(self, i: usize) -> usize {
+        ((self.0 >> (4 * i)) & 0xF) as usize
+    }
+
+    /// Spends one unit of slot `i`, which must be non-zero.
+    pub(crate) fn spend(&mut self, i: usize) {
+        debug_assert!(self.get(i) > 0, "slot {i} already spent");
+        self.0 -= 1 << (4 * i);
+    }
+
+    /// True once each of the first `n` slots is spent.
+    pub(crate) fn drained(self, n: usize) -> bool {
+        (0..n).all(|i| self.get(i) == 0)
+    }
+
+    /// The packed bits (the visited-set key's second half).
+    pub(crate) fn bits(self) -> u64 {
+        self.0
+    }
+}
+
+/// Pairs each of `actions` with the state it applies to: a clone of
+/// `state` for every action but the last, which gets `state` itself.
+/// A breadth-first search, which keeps each successor, thus forks one
+/// time fewer per state than it has successors. (The depth-first
+/// searches do the same in place, through `&mut`, so that no `System`
+/// is moved through their stack frames.)
+pub(crate) fn forks(state: System, actions: Vec<Action>) -> impl Iterator<Item = (Action, System)> {
+    let last = actions.len().saturating_sub(1);
+    let mut state = Some(state);
+    actions.into_iter().enumerate().map(move |(i, action)| {
+        let fork = if i == last {
+            state.take()
+        } else {
+            state.clone()
+        };
+        (
+            action,
+            fork.expect("the state moves out at the last action only"),
+        )
+    })
+}
+
 /// Appends the bounded-fault actions enabled in `sys`: drop/duplicate
 /// on every faultable channel head and corrupt on every corruptible
 /// head while `budget_left`, plus a retry wherever a core is wedged
@@ -388,13 +457,22 @@ impl Checker {
         }
     }
 
-    fn enabled(&self, sys: &System, pcs: &[usize], used: usize) -> Vec<Action> {
+    /// The initial budgets: each core's program length, then the fault
+    /// budget in bounded-fault mode. A core's program counter is its
+    /// program length minus its budget left.
+    fn initial_budgets(&self) -> Budgets {
+        let faults = (self.fault_budget > 0).then_some(self.fault_budget);
+        Budgets::new(self.program.iter().map(Vec::len).chain(faults))
+    }
+
+    fn enabled(&self, sys: &System, budgets: Budgets) -> Vec<Action> {
         let mut acts = Vec::new();
-        for (core, &pc) in pcs.iter().enumerate() {
-            if pc < self.program[core].len() && sys.core_idle(core) {
+        for (core, program) in self.program.iter().enumerate() {
+            let left = budgets.get(core);
+            if left > 0 && sys.core_idle(core) {
                 acts.push(Action::Issue {
                     core,
-                    step: self.program[core][pc],
+                    step: program[program.len() - left],
                 });
             }
         }
@@ -402,7 +480,8 @@ impl Checker {
             acts.push(Action::Deliver { src, dst });
         }
         if self.fault_budget > 0 {
-            fault_actions(sys, self.sys.cores, used < self.fault_budget, &mut acts);
+            let faults_left = budgets.get(self.sys.cores) > 0;
+            fault_actions(sys, self.sys.cores, faults_left, &mut acts);
         }
         if self.explore_gi_timeouts {
             for core in 0..self.sys.cores {
@@ -420,19 +499,18 @@ impl Checker {
     fn apply(
         &self,
         sys: &mut System,
-        pcs: &mut [usize],
-        used: &mut usize,
+        budgets: &mut Budgets,
         action: Action,
     ) -> Result<(), Failure> {
         let step_result = catch_unwind(AssertUnwindSafe(|| match action {
             Action::Issue { core, step } => {
-                pcs[core] += 1;
+                budgets.spend(core);
                 sys.issue(core, step.block, step.op)
             }
             Action::Deliver { src, dst } => deliver_mutated(sys, self.mutation, (src, dst)),
             Action::GiTimeout { core } => sys.gi_timeout(core),
             Action::Drop { .. } | Action::Duplicate { .. } | Action::Corrupt { .. } => {
-                *used += 1;
+                budgets.spend(self.sys.cores);
                 apply_fault(sys, action)
             }
             Action::Retry { .. } => apply_fault(sys, action),
@@ -447,12 +525,8 @@ impl Checker {
     /// What a terminal (no enabled actions) state means: a completed
     /// quiescent run is checked against the quiescence invariants;
     /// anything else is blocked forever.
-    fn terminal_failure(&self, sys: &System, pcs: &[usize]) -> Option<Failure> {
-        let done = pcs
-            .iter()
-            .enumerate()
-            .all(|(c, &pc)| pc == self.program[c].len());
-        if done && sys.quiescent() {
+    fn terminal_failure(&self, sys: &System, budgets: Budgets) -> Option<Failure> {
+        if budgets.drained(self.sys.cores) && sys.quiescent() {
             sys.check_quiescent().err().map(Failure::Invariant)
         } else {
             Some(Failure::Deadlock {
@@ -477,6 +551,11 @@ impl Checker {
 
     /// Runs the bounded exhaustive search. Stops at the first failure,
     /// which is returned shrunk.
+    ///
+    /// # Panics
+    /// Panics unless the program and fault budget pack into
+    /// [`Budgets`]: at most 16 cores (15 with a fault budget), and at
+    /// most 15 steps per core and 15 faults.
     pub fn check(&self) -> CheckReport {
         let mut report = CheckReport {
             states: 0,
@@ -486,44 +565,52 @@ impl Checker {
             coverage: Coverage::default(),
             counterexample: None,
         };
-        let sys = self.initial_system();
-        let pcs = vec![0usize; self.sys.cores];
-        let mut visited: HashSet<(u128, Vec<usize>, usize)> = HashSet::new();
-        visited.insert((sys.fingerprint(), pcs.clone(), 0));
+        let mut sys = self.initial_system();
+        let budgets = self.initial_budgets();
+        let mut visited: HashSet<(u128, u64)> = HashSet::new();
+        visited.insert((sys.fingerprint(), budgets.bits()));
         report.states = 1;
         let mut path = Vec::new();
-        let found = self.dfs(&sys, &pcs, 0, &mut visited, &mut path, &mut report);
+        let found = self.dfs(&mut sys, budgets, &mut visited, &mut path, &mut report);
         report.counterexample = found.map(|cex| self.shrink(cex));
         report
     }
 
+    /// Searches every state reachable from `sys`, and spends `sys`
+    /// doing so: the last enabled action is applied to it in place, so
+    /// only the others fork it.
     fn dfs(
         &self,
-        sys: &System,
-        pcs: &[usize],
-        used: usize,
-        visited: &mut HashSet<(u128, Vec<usize>, usize)>,
+        sys: &mut System,
+        budgets: Budgets,
+        visited: &mut HashSet<(u128, u64)>,
         path: &mut Vec<Action>,
         report: &mut CheckReport,
     ) -> Option<Counterexample> {
         report.max_depth = report.max_depth.max(path.len());
-        let actions = self.enabled(sys, pcs, used);
+        let actions = self.enabled(sys, budgets);
         if actions.is_empty() {
             return self
-                .terminal_failure(sys, pcs)
+                .terminal_failure(sys, budgets)
                 .map(|failure| Counterexample::new(path.clone(), failure));
         }
         if path.len() >= self.max_depth || report.states >= self.max_states {
             report.truncated = true;
             return None;
         }
-        for action in actions {
-            let mut next = sys.clone();
-            let mut next_pcs = pcs.to_vec();
-            let mut next_used = used;
+        let last = actions.len() - 1;
+        for (i, action) in actions.into_iter().enumerate() {
+            let mut fork;
+            let next = if i == last {
+                &mut *sys
+            } else {
+                fork = sys.clone();
+                &mut fork
+            };
+            let mut next_budgets = budgets;
             path.push(action);
             report.transitions += 1;
-            let applied = self.apply(&mut next, &mut next_pcs, &mut next_used, action);
+            let applied = self.apply(next, &mut next_budgets, action);
             report.coverage.merge(&next.stats().coverage);
             match applied {
                 Err(failure) => {
@@ -532,11 +619,9 @@ impl Checker {
                     return Some(cex);
                 }
                 Ok(()) => {
-                    if visited.insert((next.fingerprint(), next_pcs.clone(), next_used)) {
+                    if visited.insert((next.fingerprint(), next_budgets.bits())) {
                         report.states += 1;
-                        if let Some(cex) =
-                            self.dfs(&next, &next_pcs, next_used, visited, path, report)
-                        {
+                        if let Some(cex) = self.dfs(next, next_budgets, visited, path, report) {
                             path.pop();
                             return Some(cex);
                         }
@@ -554,21 +639,20 @@ impl Checker {
     /// enabled at its position — relevant while shrinking).
     pub fn replay(&self, trace: &[Action]) -> Option<Failure> {
         let mut sys = self.initial_system();
-        let mut pcs = vec![0usize; self.sys.cores];
-        let mut used = 0usize;
+        let mut budgets = self.initial_budgets();
         for &action in trace {
-            if !self.enabled(&sys, &pcs, used).contains(&action) {
+            if !self.enabled(&sys, budgets).contains(&action) {
                 return None;
             }
-            if let Err(failure) = self.apply(&mut sys, &mut pcs, &mut used, action) {
+            if let Err(failure) = self.apply(&mut sys, &mut budgets, action) {
                 return Some(failure);
             }
         }
         // A trace may also fail by *ending* in a bad terminal state
         // (deadlocks are a property of the final state, not of any
         // single action).
-        if self.enabled(&sys, &pcs, used).is_empty() {
-            self.terminal_failure(&sys, &pcs)
+        if self.enabled(&sys, budgets).is_empty() {
+            self.terminal_failure(&sys, budgets)
         } else {
             None
         }

@@ -57,8 +57,8 @@ use ghostwriter_exp::Fingerprint;
 
 use crate::trace::{decode_trace, encode_trace};
 use crate::{
-    check_config, deliver_mutated, panic_text, step_alphabet, Action, Counterexample, Failure,
-    Mutation, ProtocolKind, Step,
+    check_config, deliver_mutated, forks, panic_text, step_alphabet, Action, Budgets,
+    Counterexample, Failure, Mutation, ProtocolKind, Step,
 };
 
 /// Bumped whenever the unified search's semantics change (alphabet,
@@ -69,16 +69,18 @@ use crate::{
 /// which changed state hashing (empty channels now hash canonically
 /// instead of by insertion history).
 ///
-/// Deliberately NOT bumped for the payload/data split or for the
-/// one-pass state hasher: shard cache keys are built from these textual
-/// fields, never from `System::fingerprint` (see [`SweepSpec::key`]),
-/// so the in-process fingerprint is free to change its bits as long as
-/// it still partitions logical states exactly as before. Both changes
-/// hash the same logical content (each queued message's logical form,
-/// never its pool slot; unordered tables in block order). The partition
-/// is pinned by the `sweep_golden` test's state and transition counts,
-/// slot independence by `fingerprint_independent_of_data_slot_assignment`
-/// in the core harness, and the value by `check_revision_pinned` below.
+/// Deliberately NOT bumped for the payload/data split, the one-pass
+/// state hasher or the flat in-flight list that replaced the channel
+/// grid: shard cache keys are built from these textual fields, never
+/// from `System::fingerprint` (see [`SweepSpec::key`]), so the
+/// in-process fingerprint is free to change its bits as long as it
+/// still partitions logical states exactly as before. All three hash
+/// the same logical content (each queued message's logical form and
+/// channel, never its pool slot; unordered tables in block order). The
+/// partition is pinned by the `sweep_golden` test's state and
+/// transition counts, slot independence by
+/// `fingerprint_independent_of_data_slot_assignment` in the core
+/// harness, and the value by `check_revision_pinned` below.
 pub const CHECK_REVISION: u64 = 3;
 
 /// Schema version of the cached shard record payload.
@@ -262,10 +264,8 @@ pub struct Space {
 /// budgets (4 bits per core — asserted in [`Space::new`]).
 type StateKey = (u128, u64);
 
-fn pack_remaining(remaining: &[usize]) -> u64 {
-    remaining
-        .iter()
-        .fold(0u64, |acc, &r| (acc << 4) | (r as u64))
+fn state_key(sys: &System, budgets: Budgets) -> StateKey {
+    (sys.fingerprint(), budgets.bits())
 }
 
 /// Reconstructs the action trace from `root` to `key` by walking the
@@ -309,27 +309,26 @@ impl Space {
         &self.spec
     }
 
-    /// The initial state. In bounded-fault mode the `remaining` vector
-    /// carries one extra trailing element: the fault budget left. It
-    /// rides the existing per-core-budget plumbing (and state-key
-    /// nibble packing) everywhere — plans, shards, caches — so the
-    /// fault dimension needs no new threading.
-    fn initial(&self) -> (System, Vec<usize>) {
-        let mut remaining = vec![self.spec.ops; self.spec.cores];
-        if self.spec.fault_budget > 0 {
-            remaining.push(self.spec.fault_budget);
-        }
-        (System::new(self.cfg), remaining)
+    /// The initial state. In bounded-fault mode the budgets carry one
+    /// extra slot after the cores': the fault budget left. It rides the
+    /// per-core-budget plumbing (and state-key nibble packing)
+    /// everywhere — plans, shards, caches — so the fault dimension
+    /// needs no new threading.
+    fn initial(&self) -> (System, Budgets) {
+        let faults = (self.spec.fault_budget > 0).then_some(self.spec.fault_budget);
+        let budgets =
+            Budgets::new(std::iter::repeat_n(self.spec.ops, self.spec.cores).chain(faults));
+        (System::new(self.cfg), budgets)
     }
 
     /// Enabled actions, in a fixed deterministic order (issues by core
-    /// then alphabet order, delivers in channel-map order, timeouts by
+    /// then alphabet order, delivers in row-major channel order, timeouts by
     /// core). Plan and shard searches both depend on this order being
     /// schedule-independent.
-    fn enabled(&self, sys: &System, remaining: &[usize]) -> Vec<Action> {
+    fn enabled(&self, sys: &System, budgets: Budgets) -> Vec<Action> {
         let mut acts = Vec::new();
-        for (core, &rem) in remaining[..self.spec.cores].iter().enumerate() {
-            if rem > 0 && sys.core_idle(core) {
+        for core in 0..self.spec.cores {
+            if budgets.get(core) > 0 && sys.core_idle(core) {
                 for &step in &self.alphabet {
                     acts.push(Action::Issue { core, step });
                 }
@@ -342,7 +341,7 @@ impl Space {
             crate::fault_actions(
                 sys,
                 self.spec.cores,
-                remaining[self.spec.cores] > 0,
+                budgets.get(self.spec.cores) > 0,
                 &mut acts,
             );
         }
@@ -359,18 +358,18 @@ impl Space {
     fn apply(
         &self,
         sys: &mut System,
-        remaining: &mut [usize],
+        budgets: &mut Budgets,
         action: Action,
     ) -> Result<(), Failure> {
         let step_result = catch_unwind(AssertUnwindSafe(|| match action {
             Action::Issue { core, step } => {
-                remaining[core] -= 1;
+                budgets.spend(core);
                 sys.issue(core, step.block, step.op)
             }
             Action::Deliver { src, dst } => deliver_mutated(sys, self.spec.mutation, (src, dst)),
             Action::GiTimeout { core } => sys.gi_timeout(core),
             Action::Drop { .. } | Action::Duplicate { .. } | Action::Corrupt { .. } => {
-                remaining[self.spec.cores] -= 1;
+                budgets.spend(self.spec.cores);
                 crate::apply_fault(sys, action)
             }
             Action::Retry { .. } => crate::apply_fault(sys, action),
@@ -382,10 +381,10 @@ impl Space {
         }
     }
 
-    fn terminal_failure(&self, sys: &System, remaining: &[usize]) -> Option<Failure> {
+    fn terminal_failure(&self, sys: &System, budgets: Budgets) -> Option<Failure> {
         // Only the per-core issue budgets must drain: leftover fault
         // budget is fine (faults are optional adversary moves).
-        if remaining[..self.spec.cores].iter().all(|&r| r == 0) && sys.quiescent() {
+        if budgets.drained(self.spec.cores) && sys.quiescent() {
             sys.check_quiescent().err().map(Failure::Invariant)
         } else {
             Some(Failure::Deadlock {
@@ -397,22 +396,30 @@ impl Space {
     /// Deterministically replays `trace` from the initial state.
     /// Returns the failure it reproduces, or `None` if the trace is
     /// clean or contains a not-enabled action (relevant while
-    /// shrinking).
+    /// shrinking, where a deletion may leave an action that can no
+    /// longer fire).
     pub fn replay(&self, trace: &[Action]) -> Option<Failure> {
-        let (mut sys, mut remaining) = self.initial();
-        for &action in trace {
-            if !self.enabled(&sys, &remaining).contains(&action) {
-                return None;
+        self.replay_strict(trace).unwrap_or(None)
+    }
+
+    /// [`Space::replay`], except that a trace with an action that is not
+    /// enabled at its position is an error: `Err(i)` names the first
+    /// such action, `trace[i]`.
+    pub fn replay_strict(&self, trace: &[Action]) -> Result<Option<Failure>, usize> {
+        let (mut sys, mut budgets) = self.initial();
+        for (i, &action) in trace.iter().enumerate() {
+            if !self.enabled(&sys, budgets).contains(&action) {
+                return Err(i);
             }
-            if let Err(failure) = self.apply(&mut sys, &mut remaining, action) {
-                return Some(failure);
+            if let Err(failure) = self.apply(&mut sys, &mut budgets, action) {
+                return Ok(Some(failure));
             }
         }
-        if self.enabled(&sys, &remaining).is_empty() {
-            self.terminal_failure(&sys, &remaining)
+        Ok(if self.enabled(&sys, budgets).is_empty() {
+            self.terminal_failure(&sys, budgets)
         } else {
             None
-        }
+        })
     }
 
     /// Shrinks a counterexample to a minimal-length one.
@@ -478,15 +485,15 @@ impl Space {
     /// hit the scan continues until the queue depth rules out anything
     /// shorter. Returns `None` if the state cap is reached first.
     fn shortest_failure(&self, depth_cap: usize) -> Option<Counterexample> {
-        let (root, root_remaining) = self.initial();
-        let root_key = (root.fingerprint(), pack_remaining(&root_remaining));
+        let (root, root_budgets) = self.initial();
+        let root_key = state_key(&root, root_budgets);
         let mut parent: HashMap<StateKey, (StateKey, Action)> = HashMap::new();
         let mut visited: HashSet<StateKey> = HashSet::new();
         visited.insert(root_key);
-        let mut queue: VecDeque<(System, Vec<usize>, StateKey, usize)> = VecDeque::new();
-        queue.push_back((root, root_remaining, root_key, 0));
+        let mut queue: VecDeque<(System, Budgets, StateKey, usize)> = VecDeque::new();
+        queue.push_back((root, root_budgets, root_key, 0));
         let mut best: Option<Counterexample> = None;
-        while let Some((sys, remaining, key, depth)) = queue.pop_front() {
+        while let Some((sys, budgets, key, depth)) = queue.pop_front() {
             if let Some(b) = &best {
                 // Depths are non-decreasing: a deadlock here would be
                 // `depth` long, a transition failure `depth + 1`.
@@ -494,9 +501,9 @@ impl Space {
                     break;
                 }
             }
-            let actions = self.enabled(&sys, &remaining);
+            let actions = self.enabled(&sys, budgets);
             if actions.is_empty() {
-                if let Some(f) = self.terminal_failure(&sys, &remaining) {
+                if let Some(f) = self.terminal_failure(&sys, budgets) {
                     best = Some(Counterexample::new(trace_to(&parent, root_key, key), f));
                 }
                 continue;
@@ -504,10 +511,9 @@ impl Space {
             if depth >= depth_cap {
                 continue;
             }
-            for action in actions {
-                let mut next = sys.clone();
-                let mut next_remaining = remaining.clone();
-                match self.apply(&mut next, &mut next_remaining, action) {
+            for (action, mut next) in forks(sys, actions) {
+                let mut next_budgets = budgets;
+                match self.apply(&mut next, &mut next_budgets, action) {
                     Err(f) => {
                         let mut trace = trace_to(&parent, root_key, key);
                         trace.push(action);
@@ -516,13 +522,13 @@ impl Space {
                         }
                     }
                     Ok(()) => {
-                        let next_key = (next.fingerprint(), pack_remaining(&next_remaining));
+                        let next_key = state_key(&next, next_budgets);
                         if visited.insert(next_key) {
                             if visited.len() >= self.max_states {
                                 return None;
                             }
                             parent.insert(next_key, (key, action));
-                            queue.push_back((next, next_remaining, next_key, depth + 1));
+                            queue.push_back((next, next_budgets, next_key, depth + 1));
                         }
                     }
                 }
@@ -536,40 +542,50 @@ impl Space {
     /// the shard's first failure. `states` counts only states first
     /// visited inside this shard — the root itself was counted by the
     /// plan.
-    fn run_shard(&self, root: &System, remaining: &[usize], prefix: &[Action]) -> ShardResult {
+    fn run_shard(&self, mut root: System, budgets: Budgets, prefix: &[Action]) -> ShardResult {
         let mut result = ShardResult::default();
         let mut visited: HashSet<StateKey> = HashSet::new();
-        visited.insert((root.fingerprint(), pack_remaining(remaining)));
+        visited.insert(state_key(&root, budgets));
         let mut path = prefix.to_vec();
         result.max_depth = path.len() as u64;
-        let failing = self.shard_dfs(root, remaining, &mut visited, &mut path, &mut result);
+        let failing = self.shard_dfs(&mut root, budgets, &mut visited, &mut path, &mut result);
         result.failure_trace = failing;
         result
     }
 
+    /// Searches every state reachable from `sys`, and spends `sys`
+    /// doing so: the last enabled action is applied to it in place, so
+    /// only the others fork it.
     fn shard_dfs(
         &self,
-        sys: &System,
-        remaining: &[usize],
+        sys: &mut System,
+        budgets: Budgets,
         visited: &mut HashSet<StateKey>,
         path: &mut Vec<Action>,
         result: &mut ShardResult,
     ) -> Option<Vec<Action>> {
         result.max_depth = result.max_depth.max(path.len() as u64);
-        let actions = self.enabled(sys, remaining);
+        let actions = self.enabled(sys, budgets);
         if actions.is_empty() {
-            return self.terminal_failure(sys, remaining).map(|_| path.clone());
+            return self.terminal_failure(sys, budgets).map(|_| path.clone());
         }
         if path.len() >= self.max_depth || result.states as usize >= self.max_states {
             result.truncated = true;
             return None;
         }
-        for action in actions {
-            let mut next = sys.clone();
-            let mut next_remaining = remaining.to_vec();
+        let last = actions.len() - 1;
+        for (i, action) in actions.into_iter().enumerate() {
+            let mut fork;
+            let next = if i == last {
+                &mut *sys
+            } else {
+                fork = sys.clone();
+                &mut fork
+            };
+            let mut next_budgets = budgets;
             path.push(action);
             result.transitions += 1;
-            let applied = self.apply(&mut next, &mut next_remaining, action);
+            let applied = self.apply(next, &mut next_budgets, action);
             result.coverage.merge(&next.stats().coverage);
             match applied {
                 Err(_) => {
@@ -578,10 +594,10 @@ impl Space {
                     return Some(trace);
                 }
                 Ok(()) => {
-                    if visited.insert((next.fingerprint(), pack_remaining(&next_remaining))) {
+                    if visited.insert(state_key(next, next_budgets)) {
                         result.states += 1;
                         if let Some(trace) =
-                            self.shard_dfs(&next, &next_remaining, visited, path, result)
+                            self.shard_dfs(next, next_budgets, visited, path, result)
                         {
                             path.pop();
                             return Some(trace);
@@ -707,7 +723,7 @@ pub struct ShardPlan {
     pub depth: usize,
     /// Deduped frontier roots, in BFS discovery order: the action
     /// prefix that reaches the root, plus the root state itself.
-    pub prefixes: Vec<(Vec<Action>, System, Vec<usize>)>,
+    pub prefixes: Vec<(Vec<Action>, System, Budgets)>,
     /// States first visited during planning (including the initial
     /// state).
     pub states: u64,
@@ -724,12 +740,12 @@ pub struct ShardPlan {
 /// [`AUTO_FRONTIER_TARGET`] roots or [`AUTO_DEPTH_CAP`] — fixed
 /// constants, so the plan never depends on `--jobs`.
 pub fn plan_shards(space: &Space, depth: Option<usize>) -> ShardPlan {
-    let (sys, remaining) = space.initial();
+    let (sys, budgets) = space.initial();
     let mut visited: HashSet<StateKey> = HashSet::new();
-    visited.insert((sys.fingerprint(), pack_remaining(&remaining)));
+    visited.insert(state_key(&sys, budgets));
     let mut plan = ShardPlan {
         depth: 0,
-        prefixes: vec![(Vec::new(), sys, remaining)],
+        prefixes: vec![(Vec::new(), sys, budgets)],
         states: 1,
         transitions: 0,
         coverage: Coverage::default(),
@@ -745,22 +761,21 @@ pub fn plan_shards(space: &Space, depth: Option<usize>) -> ShardPlan {
         }
         let level = std::mem::take(&mut plan.prefixes);
         let mut next_level = Vec::new();
-        for (prefix, sys, remaining) in level {
-            let actions = space.enabled(&sys, &remaining);
+        for (prefix, sys, budgets) in level {
+            let actions = space.enabled(&sys, budgets);
             if actions.is_empty() {
                 // Terminal before the frontier: check it here — no
                 // shard will ever see it.
-                if let Some(failure) = space.terminal_failure(&sys, &remaining) {
+                if let Some(failure) = space.terminal_failure(&sys, budgets) {
                     plan.prefix_failure = Some(Counterexample::new(prefix, failure));
                     return plan;
                 }
                 continue;
             }
-            for action in actions {
-                let mut next = sys.clone();
-                let mut next_remaining = remaining.clone();
+            for (action, mut next) in forks(sys, actions) {
+                let mut next_budgets = budgets;
                 plan.transitions += 1;
-                let applied = space.apply(&mut next, &mut next_remaining, action);
+                let applied = space.apply(&mut next, &mut next_budgets, action);
                 plan.coverage.merge(&next.stats().coverage);
                 let mut trace = prefix.clone();
                 trace.push(action);
@@ -768,9 +783,9 @@ pub fn plan_shards(space: &Space, depth: Option<usize>) -> ShardPlan {
                     plan.prefix_failure = Some(Counterexample::new(trace, failure));
                     return plan;
                 }
-                if visited.insert((next.fingerprint(), pack_remaining(&next_remaining))) {
+                if visited.insert(state_key(&next, next_budgets)) {
                     plan.states += 1;
-                    next_level.push((trace, next, next_remaining));
+                    next_level.push((trace, next, next_budgets));
                 }
             }
         }
@@ -924,7 +939,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &ShardOptions) -> (SweepOutcome, ShardL
     let cache = ResultCache::new(&opts.cache_dir);
     let done = AtomicUsize::new(0);
     let total = plan.prefixes.len();
-    let outcomes = map_parallel(opts.jobs, plan.prefixes, |_, (prefix, sys, remaining)| {
+    let outcomes = map_parallel(opts.jobs, plan.prefixes, |_, (prefix, sys, budgets)| {
         let fp = Fingerprint::of_parts(
             [
                 spec.key(),
@@ -942,7 +957,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &ShardOptions) -> (SweepOutcome, ShardL
                     if let Miss::Corrupt(why) = &miss {
                         eprintln!("gwcheck: discarding corrupt shard {}: {why}", fp.hex());
                     }
-                    let rec = space.run_shard(&sys, &remaining, &prefix);
+                    let rec = space.run_shard(sys, budgets, &prefix);
                     let key = format!("{}|depth={}|prefix={}", spec.key(), plan.depth, {
                         encode_trace(&prefix)
                     });
@@ -953,7 +968,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &ShardOptions) -> (SweepOutcome, ShardL
                 }
             }
         } else {
-            (space.run_shard(&sys, &remaining, &prefix), false, false)
+            (space.run_shard(sys, budgets, &prefix), false, false)
         };
         if opts.progress {
             let n = done.fetch_add(1, Ordering::SeqCst) + 1;
@@ -1121,7 +1136,7 @@ mod tests {
         let keys: std::collections::HashSet<_> = plan
             .prefixes
             .iter()
-            .map(|(_, sys, rem)| (sys.fingerprint(), pack_remaining(rem)))
+            .map(|(_, sys, budgets)| state_key(sys, *budgets))
             .collect();
         assert_eq!(keys.len(), plan.prefixes.len());
     }

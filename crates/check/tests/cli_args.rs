@@ -1,6 +1,7 @@
 //! `gwcheck` rejects sizes the checker cannot represent with a typed
 //! usage error (exit 2), never a panic: the state key packs each core's
-//! remaining issue budget, and the fault budget, into 4-bit fields.
+//! remaining issue budget, and the fault budget, into 4-bit fields, and
+//! the L2 holding the whole pool in one set has at most 64 ways.
 
 use std::process::Command;
 
@@ -27,6 +28,7 @@ fn out_of_range_sizes_are_usage_errors() {
             &["--cores", "16", "--fault-budget", "1"][..],
             "--fault-budget needs --cores <= 15",
         ),
+        (&["--blocks", "65"][..], "--blocks must be <= 64"),
     ] {
         let (code, stderr) = gwcheck(args);
         assert_eq!(code, 2, "gwcheck {args:?} must exit 2; stderr:\n{stderr}");

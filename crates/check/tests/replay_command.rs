@@ -107,3 +107,26 @@ fn malformed_trace_is_a_usage_error() {
     ]);
     assert_eq!(code, 2);
 }
+
+#[test]
+fn trace_with_a_never_enabled_action_is_a_usage_error() {
+    // Core 5 does not exist on a 2-core config, and node 9 is no
+    // endpoint: neither action can ever fire, so the trace is not
+    // clean, it cannot run at all.
+    for (trace, position, token) in [("i5:0s", 0, "i5:0s"), ("i0:0s,d9>9", 1, "d9>9")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gwcheck"))
+            .args(["--protocol", "mesi", "--replay", trace])
+            .output()
+            .expect("gwcheck runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{trace}: stderr:\n{stderr}");
+        assert!(!stdout.contains("CLEAN"), "{trace}: stdout: {stdout}");
+        assert!(
+            stderr.contains(&format!(
+                "--replay action {position} ({token}) is not enabled"
+            )),
+            "{trace}: stderr: {stderr}"
+        );
+    }
+}

@@ -21,8 +21,9 @@
 //! [`Violation::Protocol`]; only caller-contract bugs still panic (and
 //! are caught by the checker separately).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 use ghostwriter_mem::{Addr, BlockAddr, Dram};
 
@@ -286,6 +287,13 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// True if `GW_TESTER_TRACE` is set: harness deliveries and tester
+/// issues are then printed to stderr. Read once per process.
+pub(crate) fn trace_enabled() -> bool {
+    static TRACE: OnceLock<bool> = OnceLock::new();
+    *TRACE.get_or_init(|| std::env::var_os("GW_TESTER_TRACE").is_some())
+}
+
 #[derive(Clone, Debug, Hash)]
 struct PendingAccess {
     addr: Addr,
@@ -312,12 +320,14 @@ pub struct System {
     banks: Vec<DirBank>,
     dram: Dram,
     stats: Stats,
-    /// Virtual network: per-(src, dst) FIFO channels, stored as a dense
-    /// `nodes × nodes` row-major array indexed by the flattened
-    /// [`node_key`]s. Row-major iteration is the same deterministic
-    /// (src, dst) order the former `BTreeMap` gave, without per-channel
-    /// tree nodes on the checker's clone-heavy hot path.
-    net: Vec<VecDeque<CtlMsg>>,
+    /// Virtual network: every in-flight message in one flat list of
+    /// `(channel, message)` pairs, where a channel is the dense
+    /// row-major index `src * nodes + dst` of the flattened
+    /// [`node_key`]s. The list is kept sorted by channel, and a send
+    /// goes after the channel's last message, so each (src, dst)
+    /// channel is a FIFO run and channels come in row-major order.
+    /// A checker fork copies it with one allocation.
+    net: Vec<(u32, CtlMsg)>,
     /// Side pool holding the blocks carried by in-flight data messages;
     /// `net` stores only small fixed-size [`CtlMsg`] control records.
     /// Cloned with the system so checker forks keep their slots private.
@@ -328,10 +338,12 @@ pub struct System {
     data: DataPool,
     /// Outstanding access per core.
     pending: Vec<Option<PendingAccess>>,
-    /// Single-writer discipline: next sequence number per (core, block).
-    next_seq: Vec<Vec<u64>>,
-    /// Monotone-read oracle: last value seen per (reader, block × writer).
-    last_seen: Vec<Vec<u64>>,
+    /// Single-writer discipline: next sequence number per (core, block),
+    /// row-major (`core * blocks + block`).
+    next_seq: Vec<u64>,
+    /// Monotone-read oracle: last value seen per (reader, block, writer),
+    /// row-major (`(reader * blocks + block) * cores + writer`).
+    last_seen: Vec<u64>,
     /// Block indices the program has scribbled — the approximate data
     /// set; value oracles relax and GS/GI containment is checked
     /// against it.
@@ -383,11 +395,11 @@ impl System {
             banks,
             dram: Dram::new(),
             stats: Stats::default(),
-            net: vec![VecDeque::new(); (2 * cfg.cores + 1) * (2 * cfg.cores + 1)],
+            net: Vec::new(),
             data: DataPool::default(),
             pending: (0..cfg.cores).map(|_| None).collect(),
-            next_seq: vec![vec![1; cfg.blocks]; cfg.cores],
-            last_seen: vec![vec![0; cfg.blocks * cfg.cores]; cfg.cores],
+            next_seq: vec![1; cfg.cores * cfg.blocks],
+            last_seen: vec![0; cfg.cores * cfg.blocks * cfg.cores],
             scribbled: BTreeSet::new(),
             completed: 0,
             messages: 0,
@@ -425,6 +437,21 @@ impl System {
         self.slot(0, b).block()
     }
 
+    /// Pool index of `block`.
+    ///
+    /// # Panics
+    /// Panics if `block` is not in the pool.
+    fn pool_index(&self, block: BlockAddr) -> usize {
+        let b = block.0.wrapping_sub(self.block_of(0).0);
+        assert!(b < self.cfg.blocks as u64, "block outside the pool");
+        b as usize
+    }
+
+    /// Index of `(core, b)` in `next_seq`.
+    fn seq_idx(&self, core: usize, b: usize) -> usize {
+        core * self.cfg.blocks + b
+    }
+
     /// True if `core` can issue a new access.
     pub fn core_idle(&self, core: usize) -> bool {
         self.pending[core].is_none()
@@ -454,60 +481,82 @@ impl System {
     }
 
     /// Dense channel index of `key`, if both endpoints are in range.
-    fn chan(&self, key: (usize, usize)) -> Option<usize> {
+    fn chan(&self, key: (usize, usize)) -> Option<u32> {
         let n = self.nodes();
-        (key.0 < n && key.1 < n).then(|| key.0 * n + key.1)
+        (key.0 < n && key.1 < n).then(|| (key.0 * n + key.1) as u32)
     }
 
-    /// Non-empty virtual-network channels, in deterministic order.
+    /// Position in `net` of the head of channel `key`, if the channel
+    /// holds a message.
+    fn head(&self, key: (usize, usize)) -> Option<usize> {
+        let c = self.chan(key)?;
+        let at = self.net.partition_point(|&(k, _)| k < c);
+        (self.net.get(at)?.0 == c).then_some(at)
+    }
+
+    /// Removes and returns the head of channel `key`, if any.
+    fn pop_head(&mut self, key: (usize, usize)) -> Option<CtlMsg> {
+        let at = self.head(key)?;
+        Some(self.net.remove(at).1)
+    }
+
+    /// Non-empty virtual-network channels, in row-major (src, dst)
+    /// order.
     pub fn channels(&self) -> Vec<(usize, usize)> {
-        let n = self.nodes();
-        self.net
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(i, _)| (i / n, i % n))
-            .collect()
+        let n = self.nodes() as u32;
+        let mut keys = Vec::new();
+        let mut last = None;
+        for &(c, _) in &self.net {
+            if last != Some(c) {
+                keys.push(((c / n) as usize, (c % n) as usize));
+                last = Some(c);
+            }
+        }
+        keys
     }
 
     /// The control record at the head of channel `key`, if any. Block
     /// data lives in the side pool; use [`System::drop_message`] (or a
     /// delivery) to materialise the logical message.
     pub fn peek_channel(&self, key: (usize, usize)) -> Option<&CtlMsg> {
-        self.chan(key).and_then(|i| self.net[i].front())
+        self.head(key).map(|at| &self.net[at].1)
     }
 
     /// True when nothing is in flight: no queued messages and no core
     /// has an outstanding access.
     pub fn quiescent(&self) -> bool {
-        self.net.iter().all(|q| q.is_empty()) && self.pending.iter().all(|p| p.is_none())
+        self.net.is_empty() && self.pending.iter().all(|p| p.is_none())
     }
 
     /// True when `core` holds at least one GI line (a GI-timeout sweep
     /// would change state).
     pub fn has_gi(&self, core: usize) -> bool {
-        self.l1s[core]
-            .resident_blocks()
-            .iter()
-            .any(|&(_, s)| s == L1State::Gi)
+        self.l1s[core].resident().any(|(_, s)| s == L1State::Gi)
     }
 
+    /// Appends `msg` to the back of its (src, dst) channel.
     fn enqueue(&mut self, msg: Msg) {
         let key = (
             node_key(msg.src, self.cfg.cores),
             node_key(msg.dst, self.cfg.cores),
         );
-        let i = self.chan(key).expect("endpoint outside the node grid");
+        let c = self.chan(key).expect("endpoint outside the node grid");
         let msg = msg.intern(&mut self.data);
-        self.net[i].push_back(msg);
+        self.push(c, msg);
+    }
+
+    /// Appends `msg` to the back of dense channel `c`, after the
+    /// channel's last message, keeping `net` sorted by channel.
+    fn push(&mut self, c: u32, msg: CtlMsg) {
+        let at = self.net.partition_point(|&(k, _)| k <= c);
+        self.net.insert(at, (c, msg));
     }
 
     /// Fault-injection hook for the model checker's mutation testing:
     /// removes and returns the head of channel `key` without delivering
     /// it (a lost message). Resolving frees the message's data slot.
     pub fn drop_message(&mut self, key: (usize, usize)) -> Option<Msg> {
-        let i = self.chan(key)?;
-        let msg = self.net[i].pop_front()?;
+        let msg = self.pop_head(key)?;
         Some(msg.resolve(&mut self.data))
     }
 
@@ -539,13 +588,10 @@ impl System {
         if !self.head_faultable(key) {
             return false;
         }
-        let copy = {
-            let i = self.chan(key).expect("head_faultable checked");
-            self.net[i]
-                .front()
-                .expect("head_faultable checked")
-                .logical(&self.data)
-        };
+        let copy = self
+            .peek_channel(key)
+            .expect("head_faultable checked")
+            .logical(&self.data);
         self.enqueue(copy);
         true
     }
@@ -559,12 +605,8 @@ impl System {
         if !self.head_corruptible(key) {
             return false;
         }
-        let i = self.chan(key).expect("head_corruptible checked");
-        self.net[i]
-            .front_mut()
-            .expect("head_corruptible checked")
-            .tag
-            .tainted = true;
+        let at = self.head(key).expect("head_corruptible checked");
+        self.net[at].1.tag.tainted = true;
         true
     }
 
@@ -583,9 +625,10 @@ impl System {
         let Some(seq) = self.l1s[core].pending_seq() else {
             return false;
         };
-        let in_flight = self.net.iter().enumerate().any(|(i, q)| {
-            let n = self.nodes();
-            (i / n == core || i % n == core) && !q.is_empty()
+        let n = self.nodes();
+        let in_flight = self.net.iter().any(|&(c, _)| {
+            let (src, dst) = (c as usize / n, c as usize % n);
+            src == core || dst == core
         });
         if in_flight {
             return false;
@@ -623,7 +666,7 @@ impl System {
                         let writer = ((rel % 64) / 8) as usize;
                         // Loads only ever observe values the single
                         // writer actually wrote (zero = initial state).
-                        if value >= self.next_seq[writer][b] {
+                        if value >= self.next_seq[self.seq_idx(writer, b)] {
                             return Err(Violation::UnwrittenValue {
                                 core,
                                 writer,
@@ -636,8 +679,8 @@ impl System {
                         // program never scribbled: GS/GI copies serve
                         // stale values by design.
                         if !self.scribbled.contains(&b) {
-                            let idx = b * self.cfg.cores + writer;
-                            let prev = self.last_seen[core][idx];
+                            let idx = (core * self.cfg.blocks + b) * self.cfg.cores + writer;
+                            let prev = self.last_seen[idx];
                             if value < prev {
                                 return Err(Violation::NonMonotoneRead {
                                     core,
@@ -647,7 +690,7 @@ impl System {
                                     prev,
                                 });
                             }
-                            self.last_seen[core][idx] = value;
+                            self.last_seen[idx] = value;
                         }
                     }
                 }
@@ -671,13 +714,15 @@ impl System {
                 (self.slot(writer, b), AccessKind::Load, 0)
             }
             Op::Store => {
-                let v = self.next_seq[core][b];
-                self.next_seq[core][b] += 1;
+                let i = self.seq_idx(core, b);
+                let v = self.next_seq[i];
+                self.next_seq[i] += 1;
                 (self.slot(core, b), AccessKind::Store, v)
             }
             Op::Scribble { d } => {
-                let v = self.next_seq[core][b];
-                self.next_seq[core][b] += 1;
+                let i = self.seq_idx(core, b);
+                let v = self.next_seq[i];
+                self.next_seq[i] += 1;
                 self.scribbled.insert(b);
                 (self.slot(core, b), AccessKind::Scribble { d }, v)
             }
@@ -751,12 +796,11 @@ impl System {
     /// [`System::channels`].
     pub fn deliver(&mut self, key: (usize, usize)) -> Result<(), Violation> {
         let msg = self
-            .chan(key)
-            .and_then(|i| self.net[i].pop_front())
+            .pop_head(key)
             .expect("deliver from empty channel")
             .resolve(&mut self.data);
         self.messages += 1;
-        if std::env::var_os("GW_TESTER_TRACE").is_some() {
+        if trace_enabled() {
             eprintln!(
                 "deliver {:<12} {:?} -> {:?}  {:?}",
                 msg.payload.name(),
@@ -855,12 +899,9 @@ impl System {
     /// a precise configuration), and hidden-write counts respect the
     /// §3.5 error bound.
     pub fn check_ghostwriter(&self) -> Result<(), Violation> {
-        let pool: BTreeMap<BlockAddr, usize> = (0..self.cfg.blocks)
-            .map(|b| (self.block_of(b), b))
-            .collect();
         for (c, l1) in self.l1s.iter().enumerate() {
-            for (block, state) in l1.resident_blocks() {
-                let b = *pool.get(&block).expect("block outside the pool");
+            for (block, state) in l1.resident() {
+                let b = self.pool_index(block);
                 if matches!(state, L1State::Gs | L1State::Gi)
                     && (self.cfg.gw.is_none() || !self.scribbled.contains(&b))
                 {
@@ -1085,12 +1126,12 @@ impl System {
         // slot index (and never the pool itself): slot assignment
         // depends on delivery history, and two states with identical
         // in-flight traffic must fingerprint equal regardless of which
-        // slots that traffic happens to occupy.
-        for q in &self.net {
-            q.len().hash(&mut h);
-            for m in q {
-                m.hash_logical(&self.data, &mut h);
-            }
+        // slots that traffic happens to occupy. The list is framed by
+        // its length and each message tagged with its channel.
+        self.net.len().hash(&mut h);
+        for (c, m) in &self.net {
+            c.hash(&mut h);
+            m.hash_logical(&self.data, &mut h);
         }
         self.pending.hash(&mut h);
         self.next_seq.hash(&mut h);
@@ -1672,7 +1713,7 @@ mod tests {
         let mut sys = System::new(cfg2());
         for (chan, msg) in msgs {
             let ctl = msg.clone().intern(&mut sys.data);
-            sys.net[*chan].push_back(ctl);
+            sys.push(*chan as u32, ctl);
         }
         sys
     }
@@ -1760,6 +1801,87 @@ mod tests {
             fps[0] != fps[1] && fps[1] != fps[2] && fps[0] != fps[2],
             "channel boundaries must be framed by length: {fps:x?}"
         );
+    }
+
+    /// An INV on `src → dst` about block `tag`, so a test can tell
+    /// messages apart by their block.
+    fn inv(src: Endpoint, dst: Endpoint, tag: u64) -> Msg {
+        Msg {
+            src,
+            dst,
+            block: BlockAddr(tag),
+            payload: Payload::Inv,
+            tag: WireTag::default(),
+        }
+    }
+
+    #[test]
+    fn channels_stay_fifo_under_interleaved_sends() {
+        let mut sys = System::new(cfg2());
+        let (a, b, c) = (
+            (Endpoint::Dir(0), Endpoint::L1(0)),
+            (Endpoint::Dir(0), Endpoint::L1(1)),
+            (Endpoint::Dir(1), Endpoint::L1(0)),
+        );
+        for (i, (src, dst)) in [a, b, a, c, b, a, c].into_iter().enumerate() {
+            sys.inject(inv(src, dst, i as u64));
+        }
+        let key = |(src, dst)| (node_key(src, 2), node_key(dst, 2));
+        let mut drain = |ch| {
+            std::iter::from_fn(|| sys.drop_message(key(ch)))
+                .map(|m| m.block.0)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(drain(b), [1, 4]);
+        assert_eq!(drain(a), [0, 2, 5]);
+        assert_eq!(drain(c), [3, 6]);
+        assert!(sys.quiescent());
+    }
+
+    #[test]
+    fn channels_list_in_row_major_order() {
+        let mut sys = System::new(cfg2());
+        // Sent in reverse row-major order; node keys are L1 0, L1 1,
+        // Dir 0, Dir 1, Mem 0 = 0..5.
+        for (src, dst) in [
+            (Endpoint::Mem(0), Endpoint::Dir(0)),
+            (Endpoint::Dir(1), Endpoint::L1(0)),
+            (Endpoint::Dir(0), Endpoint::L1(1)),
+            (Endpoint::Dir(0), Endpoint::L1(0)),
+            (Endpoint::L1(1), Endpoint::Dir(0)),
+            (Endpoint::L1(0), Endpoint::Dir(1)),
+        ] {
+            sys.inject(inv(src, dst, 0));
+        }
+        assert_eq!(
+            sys.channels(),
+            [(0, 3), (1, 2), (2, 0), (2, 1), (3, 0), (4, 2)]
+        );
+    }
+
+    #[test]
+    fn delivering_on_a_fork_leaves_the_parent_untouched() {
+        let mut parent = System::new(cfg2());
+        parent.issue(0, 0, Op::Store).unwrap();
+        parent.issue(1, 0, Op::Load { writer: 0 }).unwrap();
+        let channels = parent.channels();
+        let fingerprint = parent.fingerprint();
+        let heads = |sys: &System| -> Vec<String> {
+            channels
+                .iter()
+                .map(|&k| format!("{:?}", sys.peek_channel(k).map(|m| m.logical(&sys.data))))
+                .collect()
+        };
+        let parent_heads = heads(&parent);
+        let mut fork = parent.clone();
+        fork.deliver(channels[0]).unwrap();
+        assert_ne!(fork.fingerprint(), fingerprint);
+        assert_eq!(parent.channels(), channels);
+        assert_eq!(parent.fingerprint(), fingerprint);
+        assert_eq!(heads(&parent), parent_heads);
+        // The parent still delivers the message the fork consumed.
+        parent.deliver(channels[0]).unwrap();
+        assert_eq!(parent.fingerprint(), fork.fingerprint());
     }
 
     #[test]

@@ -1575,10 +1575,10 @@ impl L1Cache {
         owned
     }
 
-    /// Every resident block and its coherence state (for the protocol
-    /// tester's invariant checks).
-    pub fn resident_blocks(&self) -> Vec<(BlockAddr, L1State)> {
-        self.cache.iter().map(|l| (l.block, l.meta.state)).collect()
+    /// Every resident block and its coherence state (for the harness's
+    /// invariant checks).
+    pub fn resident(&self) -> impl Iterator<Item = (BlockAddr, L1State)> + '_ {
+        self.cache.iter().map(|l| (l.block, l.meta.state))
     }
 
     /// True if the writeback buffer still holds entries (in-flight PUTs).
@@ -2427,7 +2427,7 @@ mod more_l1_tests {
     fn resident_blocks_reports_states() {
         let (mut c, mut s) = l1_mesi();
         fill_shared(&mut c, &mut s, 0x100, 0);
-        let blocks = c.resident_blocks();
+        let blocks: Vec<_> = c.resident().collect();
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0], (Addr(0x100).block(), L1State::S));
     }

@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{BaseProtocol, GiStorePolicy};
-use crate::harness::{Op, System, SystemConfig};
+use crate::harness::{trace_enabled, Op, System, SystemConfig};
 use crate::l1::GwParams;
 use crate::scribe::ScribePolicy;
 
@@ -162,7 +162,7 @@ impl ProtocolTester {
         } else {
             Op::Store
         };
-        if std::env::var_os("GW_TESTER_TRACE").is_some() {
+        if trace_enabled() {
             eprintln!("issue core {core} {op:?} on block {b}");
         }
         self.issued += 1;
