@@ -12,7 +12,7 @@ use crate::scribe::ScribePolicy;
 /// mechanisms" (a GETX, ending the hidden window — which bounds how much
 /// approximate data a window can capture). Both are implemented;
 /// `Fallback` is the default, `Capture` reproduces Fig. 12's regime. The
-/// `ablation_gi_policy` bench compares them.
+/// `ablation_states` experiment compares them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum GiStorePolicy {
     /// Failed scribbles issue a conventional GETX (§3.1 reading).
@@ -283,25 +283,57 @@ impl MachineConfig {
         format!("cfgv1:{self:?}")
     }
 
-    /// Validates internal consistency; called by the machine builder.
-    pub fn validate(&self) {
-        assert!(self.cores >= 1 && self.cores <= 64, "1..=64 cores");
-        assert!(
-            (self.l1_kb * 1024 / 64 / self.l1_ways).is_power_of_two(),
-            "L1 sets must be a power of two"
-        );
-        assert!(
-            (self.l2_bank_kb * 1024 / 64 / self.l2_ways).is_power_of_two(),
-            "L2 sets must be a power of two"
-        );
+    /// Checks internal consistency: the one list of constraints a
+    /// machine needs, for callers that want an error instead of a panic.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let sets_pow2 = |kb: usize, ways: usize| {
+            (kb * 1024 / 64)
+                .checked_div(ways)
+                .is_some_and(usize::is_power_of_two)
+        };
+        if !(1..=64).contains(&self.cores) {
+            return Err(ConfigError("cores must be in 1..=64"));
+        }
+        if !sets_pow2(self.l1_kb, self.l1_ways) {
+            return Err(ConfigError("L1 sets must be a power of two"));
+        }
+        if !sets_pow2(self.l2_bank_kb, self.l2_ways) {
+            return Err(ConfigError("L2 sets must be a power of two"));
+        }
+        if self.context_switch_period == Some(0) {
+            return Err(ConfigError("context-switch period must be positive"));
+        }
         if let Protocol::Ghostwriter(gw) = self.protocol {
-            assert!(gw.gi_timeout > 0, "GI timeout must be positive");
-            if let Some(bound) = gw.max_hidden_writes {
-                assert!(bound > 0, "error bound must be positive");
+            if gw.gi_timeout == 0 {
+                return Err(ConfigError("GI timeout must be positive"));
             }
+            if gw.max_hidden_writes == Some(0) {
+                return Err(ConfigError("error bound must be positive"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Panics unless [`MachineConfig::check`] passes; called by the
+    /// machine builder.
+    pub fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("invalid machine config: {e}");
         }
     }
 }
+
+/// The constraint a [`MachineConfig`] breaks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConfigError(pub &'static str);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {

@@ -69,7 +69,7 @@ pub mod stats;
 pub mod stats_io;
 pub mod tester;
 
-pub use config::{BaseProtocol, GiStorePolicy, MachineConfig, Protocol};
+pub use config::{BaseProtocol, ConfigError, GiStorePolicy, MachineConfig, Protocol};
 pub use ctx::ThreadCtx;
 pub use fault::{FaultConfig, RecoveryParams};
 pub use harness::{node_key, Op, System, SystemConfig, Violation};

@@ -1126,14 +1126,13 @@ impl Engine {
             };
             let mut delta = time - prev;
             for ev in batch.drain(..) {
-                match ev {
-                    Ev::GiTick { .. } | Ev::FaultTick => {}
-                    Ev::Fetch { core } => panic!(
+                if let Ev::Fetch { core } = ev {
+                    panic!(
                         "{}",
                         post_drain_fetch_report(core, self.queue.now(), self.last_op[core])
-                    ),
-                    other => self.dispatch(other, delta)?,
+                    );
                 }
+                self.dispatch(ev, delta)?;
                 delta = 0;
             }
         }
@@ -1177,27 +1176,43 @@ impl Engine {
                     p.event(phase, component, delta);
                 }
             }
+            // Every timer is charged to `QueueChurn`, whether or not it
+            // still has work, so a batch one of them leads never loses
+            // its clock advance.
+            timer @ (Ev::GiTick { .. }
+            | Ev::ContextSwitch { .. }
+            | Ev::RetryCheck { .. }
+            | Ev::FaultTick) => {
+                if let Some(p) = self.prof.as_mut() {
+                    p.begin_span(Phase::QueueChurn);
+                }
+                let component = self.fire_timer(timer)?;
+                if let Some(p) = self.prof.as_mut() {
+                    p.end_span();
+                    p.event(Phase::QueueChurn, component, delta);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Handles a timer event and returns the component it is charged to.
+    /// Periodic timers stop once every thread has finished.
+    fn fire_timer(&mut self, ev: Ev) -> Result<Component, SimAbort> {
+        let live = self.n_finished < self.threads;
+        match ev {
             Ev::GiTick { core } => {
-                if self.n_finished < self.threads {
-                    if let Some(p) = self.prof.as_mut() {
-                        p.begin_span(Phase::QueueChurn);
-                    }
+                if live {
                     self.l1s[core]
                         .gi_timeout_sweep(&mut self.core_stats[core])
                         .map_err(|e| self.abort(e))?;
                     let t = self.gi_timeout.expect("tick without timeout");
                     self.sched_after(t, Ev::GiTick { core });
-                    if let Some(p) = self.prof.as_mut() {
-                        p.end_span();
-                        p.event(Phase::QueueChurn, Component::Core(core), delta);
-                    }
                 }
+                Ok(Component::Core(core))
             }
             Ev::ContextSwitch { core } => {
-                if self.n_finished < self.threads {
-                    if let Some(p) = self.prof.as_mut() {
-                        p.begin_span(Phase::QueueChurn);
-                    }
+                if live {
                     let mut outs = std::mem::take(&mut self.l1_scratch);
                     self.l1s[core]
                         .context_switch_forfeit_into(&mut self.core_stats[core], &mut outs)
@@ -1209,17 +1224,14 @@ impl Engine {
                         .context_switch_period
                         .expect("switch without period");
                     self.sched_after(p, Ev::ContextSwitch { core });
-                    if let Some(p) = self.prof.as_mut() {
-                        p.end_span();
-                        p.event(Phase::QueueChurn, Component::Core(core), delta);
-                    }
                 }
+                Ok(Component::Core(core))
             }
             Ev::RetryCheck { core, seq, attempt } => {
-                let live = self.faults.recovery.is_some()
+                let pending = self.faults.recovery.is_some()
                     && self.l1s[core].pending_seq() == Some(seq)
                     && self.l1s[core].retries_used() == attempt;
-                if live {
+                if pending {
                     let mut outs = std::mem::take(&mut self.l1_scratch);
                     let fired = self.l1s[core]
                         .retry_pending_into(&mut self.core_stats[core], &mut outs)
@@ -1230,9 +1242,10 @@ impl Engine {
                     self.apply_l1_outs(core, &mut outs);
                     self.l1_scratch = outs;
                 }
+                Ok(Component::Core(core))
             }
             Ev::FaultTick => {
-                if self.n_finished < self.threads {
+                if live {
                     let tick = self.fault_tick_n;
                     self.fault_tick_n += 1;
                     for core in 0..self.cfg.cores {
@@ -1250,9 +1263,10 @@ impl Engine {
                     }
                     self.sched_after(self.faults.tick_cycles, Ev::FaultTick);
                 }
+                Ok(Component::Machine)
             }
+            Ev::Fetch { .. } | Ev::Deliver(_) => unreachable!("not a timer event"),
         }
-        Ok(())
     }
 
     /// Steps thread `core`: feed it the owed reply, pull and dispatch
@@ -1965,32 +1979,54 @@ mod context_switch_tests {
 
     #[test]
     fn profiler_observes_without_perturbing_and_reconciles_exactly() {
-        let off = profiler_workload().run();
-        assert!(off.profile.is_none(), "profiling is opt-in");
+        // Fault-free, then with drops, retries and fault ticks: the
+        // recovery timers must be charged like every other event.
+        let faulty = FaultConfig {
+            seed: 7,
+            drop_permille: 200,
+            tick_cycles: 64,
+            gi_storm_permille: 100,
+            recovery: Some(fault::RecoveryParams::default()),
+            ..FaultConfig::default()
+        };
+        for faults in [FaultConfig::default(), faulty] {
+            let mut m = profiler_workload();
+            m.set_faults(faults);
+            let off = m.run();
+            assert!(off.profile.is_none(), "profiling is opt-in");
 
-        let mut m = profiler_workload();
-        m.enable_profiling();
-        let on = m.run();
+            let mut m = profiler_workload();
+            m.set_faults(faults);
+            m.enable_profiling();
+            let on = m.run();
 
-        // Identical simulation: same cycle count, byte-identical stats.
-        assert_eq!(off.report.cycles, on.report.cycles);
-        assert_eq!(
-            off.report.stats.to_json().to_pretty(),
-            on.report.stats.to_json().to_pretty(),
-            "profiling must not change any statistic"
-        );
+            // Identical simulation: same cycle count, byte-identical stats.
+            assert_eq!(off.report.cycles, on.report.cycles);
+            assert_eq!(
+                off.report.stats.to_json().to_pretty(),
+                on.report.stats.to_json().to_pretty(),
+                "profiling must not change any statistic"
+            );
 
-        // Exact attribution: per-phase cycles sum to the machine's cycle
-        // count, and per-component cycles agree with the phase totals.
-        let p = on.profile.expect("profiling was enabled");
-        assert_eq!(p.attributed_cycles(), on.report.cycles);
-        let component_total =
-            p.core_cycles.iter().sum::<u64>() + p.bank_cycles.iter().sum::<u64>() + p.mem_cycles;
-        assert_eq!(component_total, on.report.cycles);
-        assert!(
-            p.phases[Phase::Routing as usize].events > 0,
-            "the workload routes messages"
-        );
+            // Exact attribution: per-phase cycles sum to the machine's
+            // cycle count, and per-component cycles agree with the
+            // phase totals.
+            let p = on.profile.expect("profiling was enabled");
+            assert_eq!(p.attributed_cycles(), on.report.cycles, "{faults:?}");
+            let component_total = p.core_cycles.iter().sum::<u64>()
+                + p.bank_cycles.iter().sum::<u64>()
+                + p.mem_cycles
+                + p.machine_cycles;
+            assert_eq!(component_total, on.report.cycles, "{faults:?}");
+            assert!(
+                p.phases[Phase::Routing as usize].events > 0,
+                "the workload routes messages"
+            );
+            if !faults.is_noop() {
+                let s = &on.report.stats;
+                assert!(s.retries > 0 && s.gi_storms > 0, "retry and tick paths run");
+            }
+        }
     }
 
     mod msg_pool_fuzz {

@@ -47,8 +47,8 @@ pub enum Phase {
     DirDispatch = 2,
     /// Delivering a request to a memory controller / DRAM.
     Memory = 3,
-    /// Periodic maintenance events (GI timeout sweeps, context
-    /// switches) and event-queue bookkeeping.
+    /// Timer-driven maintenance (GI timeout sweeps, context switches,
+    /// retry deadlines, fault ticks) and event-queue bookkeeping.
     QueueChurn = 4,
     /// Route computation and message injection (`send`). Routing is
     /// never a heap event, so it charges no simulated cycles of its
@@ -131,9 +131,12 @@ pub struct Profile {
     pub bank_events: Vec<u64>,
     /// Cycles charged to memory controllers.
     pub mem_cycles: u64,
+    /// Cycles charged to machine-wide events (fault ticks).
+    pub machine_cycles: u64,
     /// Simulated cycles spent in the post-completion drain (in-flight
-    /// writebacks after the last thread finished); not part of the
-    /// reconciled total, mirroring the report's `cycles`.
+    /// writebacks, and the timers still queued, after the last thread
+    /// finished); not part of the reconciled total, mirroring the
+    /// report's `cycles`.
     pub drain_cycles: u64,
     /// Events dispatched during the drain.
     pub drain_events: u64,
@@ -191,6 +194,7 @@ impl Profile {
             Json::Arr(self.bank_events.iter().map(|&c| Json::U64(c)).collect()),
         );
         j.push("mem_cycles", Json::U64(self.mem_cycles));
+        j.push("machine_cycles", Json::U64(self.machine_cycles));
         j
     }
 }
@@ -256,6 +260,7 @@ impl Profiler {
                 self.profile.bank_cycles[i] += delta;
             }
             Component::Mem => self.profile.mem_cycles += delta,
+            Component::Machine => self.profile.machine_cycles += delta,
         }
     }
 
@@ -309,6 +314,8 @@ pub enum Component {
     Bank(usize),
     /// A memory controller.
     Mem,
+    /// The machine as a whole: a fault tick visits every core.
+    Machine,
 }
 
 #[cfg(test)]

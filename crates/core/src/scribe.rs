@@ -9,8 +9,8 @@
 //!
 //! This module is the functional model: bit-wise `d`-distance (the paper's
 //! definition, from Wong et al., ref. 57) plus an *arithmetic* comparator
-//! variant the paper sketches as future work (§3.4), used by the ablation
-//! benches.
+//! variant the paper sketches as future work (§3.4), used by the
+//! `ablation_scribe` experiment.
 
 /// How the scribe decides two words are "approximately similar".
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]

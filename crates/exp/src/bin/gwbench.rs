@@ -1,8 +1,6 @@
 //! `gwbench`: the single entry point for every paper experiment.
 //!
-//! See `ghostwriter_exp::cli` for the command reference. The old
-//! per-figure binaries in `crates/bench` remain as thin wrappers around
-//! the same engine.
+//! See `ghostwriter_exp::cli` for the command reference.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -5,7 +5,6 @@
 //! gwbench run <experiment>... [options]
 //! gwbench repro-all [options]
 //! gwbench faults [options]
-//! gwbench perf [--smoke] [--out FILE] [--baseline FILE] [--reps N] [--quiet]
 //! gwbench profile [--smoke] [--out FILE] [--overhead-check] [--phases [FILE]] [--quiet]
 //! gwbench clean
 //!
@@ -17,10 +16,6 @@
 //!   --expect-cached   exit 3 if any cell simulated (CI warm-pass check)
 //!   --quiet           do not print reports to stdout (files only)
 //! ```
-//!
-//! `perf` times the engine-kernel microbenchmarks (see [`crate::perf`])
-//! and writes `BENCH_kernel.json`; with `--baseline` it exits 4 on a >2x
-//! throughput regression against the committed file.
 //!
 //! `profile` runs representative kernels with the engine's cycle-
 //! attribution profiler on (see [`crate::profile`]), prints each
@@ -73,7 +68,6 @@ fn usage() -> String {
     let mut s = String::from(
         "usage: gwbench <list|run <experiment>...|repro-all|faults|clean>\n\
          \x20      [--jobs N] [--no-cache] [--smoke] [--expect-cached] [--quiet]\n\
-         \x20      gwbench perf [--smoke] [--out FILE] [--baseline FILE] [--reps N] [--quiet]\n\
          \x20      gwbench profile [--smoke] [--out FILE] [--overhead-check] [--phases [FILE]] [--quiet]\n",
     );
     s.push_str("\nexperiments:\n");
@@ -209,8 +203,8 @@ fn run_experiments(experiments: Vec<Experiment>, opts: &Options) -> i32 {
     0
 }
 
-/// Entry point shared by the `gwbench` binary and the thin legacy
-/// wrappers. `args` excludes the program name. Returns the exit code.
+/// Entry point of the `gwbench` binary. `args` excludes the program
+/// name. Returns the exit code.
 pub fn main_with_args(args: Vec<String>) -> i32 {
     let Some((cmd, rest)) = args.split_first() else {
         eprint!("{}", usage());
@@ -235,46 +229,6 @@ pub fn main_with_args(args: Vec<String>) -> i32 {
                     1
                 }
             }
-        }
-        "perf" => {
-            let mut smoke = false;
-            let mut quiet = false;
-            let mut out = crate::perf::DEFAULT_OUT.to_string();
-            let mut baseline: Option<String> = None;
-            let mut reps = 1u32;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--smoke" => smoke = true,
-                    "--quiet" => quiet = true,
-                    "--out" => match it.next() {
-                        Some(v) => out = v.clone(),
-                        None => {
-                            eprintln!("gwbench: --out needs a value");
-                            return 2;
-                        }
-                    },
-                    "--baseline" => match it.next() {
-                        Some(v) => baseline = Some(v.clone()),
-                        None => {
-                            eprintln!("gwbench: --baseline needs a value");
-                            return 2;
-                        }
-                    },
-                    "--reps" => match it.next().and_then(|v| v.parse().ok()) {
-                        Some(v) => reps = v,
-                        None => {
-                            eprintln!("gwbench: --reps needs a positive integer");
-                            return 2;
-                        }
-                    },
-                    flag => {
-                        eprintln!("gwbench: unknown perf flag `{flag}`\n\n{}", usage());
-                        return 2;
-                    }
-                }
-            }
-            crate::perf::main_perf(smoke, &out, baseline.as_deref(), quiet, reps)
         }
         "profile" => {
             let mut smoke = false;

@@ -16,9 +16,7 @@
 //! - [`experiments`] — the registry of all 21 reports with pure
 //!   renderers over cached records.
 //! - [`cli`] — the `gwbench` command line (list / run / repro-all /
-//!   perf / clean) that the thin `crates/bench` wrappers invoke.
-//! - [`perf`] — the perf-regression kernel harness behind `gwbench perf`
-//!   (`BENCH_kernel.json`).
+//!   faults / profile / clean).
 //! - [`profile`] — the cycle-attribution reporter behind
 //!   `gwbench profile` (`results/profile.json`).
 
@@ -27,7 +25,6 @@ pub mod cli;
 pub mod engine;
 pub mod experiments;
 pub mod fingerprint;
-pub mod perf;
 pub mod pool;
 pub mod profile;
 pub mod record;

@@ -8,12 +8,12 @@
 //! under scheduling: `--jobs 1` and `--jobs 8` produce identical vectors
 //! (the golden-stats determinism suite asserts exactly this).
 //!
-//! Workers communicate through the vendored `crossbeam` channel shim;
+//! Workers hand results back over a bounded `std::sync::mpsc` channel;
 //! the queue itself is a mutexed deque, which at this job granularity
 //! (whole simulations, milliseconds to minutes each) is uncontended.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 
 /// Applies `f` to every item on `jobs` worker threads, preserving input
 /// order in the output. `f` receives `(index, item)`.
@@ -33,7 +33,7 @@ where
             .collect();
     }
     let queue: Mutex<VecDeque<(usize, I)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let (tx, rx) = crossbeam::channel::bounded::<(usize, O)>(n);
+    let (tx, rx) = mpsc::sync_channel::<(usize, O)>(n);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();

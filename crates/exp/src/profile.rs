@@ -177,10 +177,27 @@ fn profiled_run(name: &str, scale: &str, mut m: ghostwriter_core::Machine) -> Pr
     }
 }
 
-/// The storm machine at profile scale (shared with `gwbench perf`).
+/// The NoC contention storm at profile scale: one packed block of
+/// per-core `u32` slots, each of 8 MESI cores in a load/store ping-pong
+/// on its own slot, with flit-level link contention modelled.
 fn storm(scale: &str) -> ghostwriter_core::Machine {
-    let iters = if scale == "smoke" { 3_000 } else { 30_000 };
-    crate::perf::storm_machine(8, BaseProtocol::Mesi, iters, false)
+    const CORES: usize = 8;
+    let iters: u32 = if scale == "smoke" { 3_000 } else { 30_000 };
+    let mut cfg = MachineConfig::small_base(CORES, Protocol::Mesi, BaseProtocol::Mesi);
+    cfg.model_contention = true;
+    let mut m = ghostwriter_core::Machine::new(cfg);
+    let block = m.alloc_padded(4 * CORES as u64);
+    for t in 0..CORES {
+        let slot = block.add(4 * t as u64);
+        m.add_thread(move |ctx| async move {
+            for i in 0..iters {
+                let v = ctx.load_u32(slot).await;
+                ctx.store_u32(slot, v.wrapping_add(i)).await;
+            }
+            ctx.barrier().await;
+        });
+    }
+    m
 }
 
 /// A registry workload built onto a machine we keep control of, so

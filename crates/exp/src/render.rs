@@ -1,9 +1,9 @@
 //! Plain-text report formatting shared by every experiment renderer.
 //!
-//! These mirror the helpers the old per-figure binaries used, but write
-//! into a `String` so rendered reports can be both printed and written
-//! to `results/*.txt` — and so renderers stay pure functions of cached
-//! records (a warm sweep renders every figure without simulating).
+//! They write into a `String` so rendered reports can be both printed
+//! and written to `results/*.txt`, and so renderers stay pure functions
+//! of cached records (a warm sweep renders every figure without
+//! simulating).
 
 use std::fmt::Write;
 

@@ -1,9 +1,8 @@
 //! The §2 scripted sharing-pattern scenarios (Figs. 4 and 5).
 //!
 //! These are not workloads — they are two hand-written thread programs
-//! whose *message traces* are the figure. The builders live here (moved
-//! out of the old `fig04_migratory`/`fig05_producer_consumer` binaries)
-//! so the engine can run them as cached cells: the formatted trace lines
+//! whose *message traces* are the figure. The builders live here so the
+//! engine can run them as cached cells: the formatted trace lines
 //! are deterministic and stored in the [`RunRecord`], which is what lets
 //! a warm `repro-all` render both figures without a single simulation.
 

@@ -10,6 +10,10 @@
 //! gwsim bad_dot_product --capture --timeout 512 --compare
 //! gwsim --list
 //! ```
+//!
+//! A flag value the machine cannot run (`--cores 0`, `--timeout 0`,
+//! `--switch 0`, `--d 64`, more threads than cores, ...) is a usage
+//! error: a message and exit code 2, before anything is simulated.
 
 use ghostwriter::core::config::{GiStorePolicy, GwConfig};
 use ghostwriter::core::{BaseProtocol, MachineConfig, Protocol};
@@ -72,12 +76,12 @@ fn parse() -> Options {
         scale: ScaleClass::Eval,
         run_compare: false,
     };
-    let next_num = |args: &mut dyn Iterator<Item = String>, flag: &str| -> u64 {
+    fn next_num<T: std::str::FromStr>(args: &mut dyn Iterator<Item = String>, flag: &str) -> T {
         args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
             eprintln!("{flag} needs a numeric argument");
             usage()
         })
-    };
+    }
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--list" => {
@@ -86,11 +90,11 @@ fn parse() -> Options {
                 }
                 std::process::exit(0);
             }
-            "--cores" => o.cores = next_num(&mut args, "--cores") as usize,
-            "--threads" => o.threads = Some(next_num(&mut args, "--threads") as usize),
-            "--d" => o.d = next_num(&mut args, "--d") as u8,
+            "--cores" => o.cores = next_num(&mut args, "--cores"),
+            "--threads" => o.threads = Some(next_num(&mut args, "--threads")),
+            "--d" => o.d = next_num(&mut args, "--d"),
             "--timeout" => o.timeout = next_num(&mut args, "--timeout"),
-            "--bound" => o.bound = Some(next_num(&mut args, "--bound") as u32),
+            "--bound" => o.bound = Some(next_num(&mut args, "--bound")),
             "--capture" => o.capture = true,
             "--msi" => o.msi_base = true,
             "--contention" => o.contention = true,
@@ -131,6 +135,18 @@ fn find(app: &str) -> BenchmarkEntry {
         })
 }
 
+/// Rejects what `execute` would otherwise panic or hang on.
+fn check(o: &Options, threads: usize, cfg: &MachineConfig) -> Result<(), String> {
+    cfg.check().map_err(|e| e.to_string())?;
+    if !(1..=o.cores).contains(&threads) {
+        return Err(format!("--threads must be in 1..={} (--cores)", o.cores));
+    }
+    if o.d >= 64 {
+        return Err("--d must be below 64".into());
+    }
+    Ok(())
+}
+
 fn main() {
     let o = parse();
     let entry = find(&o.app);
@@ -157,6 +173,12 @@ fn main() {
         context_switch_period: o.switch_period,
         ..MachineConfig::default()
     };
+    // The Ghostwriter config carries every flag, so checking it covers
+    // the baseline too.
+    if let Err(e) = check(&o, threads, &cfg(gw)) {
+        eprintln!("gwsim: {e}");
+        std::process::exit(2);
+    }
 
     if o.run_compare {
         let scale = o.scale;
