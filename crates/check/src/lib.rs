@@ -20,25 +20,24 @@
 //! deadlock.
 //!
 //! On violation the checker emits a [`Counterexample`]: the action trace
-//! from the initial state, greedily shrunk ([`Checker::shrink`]) and
-//! deterministically replayable ([`Checker::replay`]) so a failure
+//! from the initial state, shrunk ([`Space::shrink`]) and
+//! deterministically replayable ([`Space::replay`]) so a failure
 //! reproduces as a plain `#[test]`. [`Mutation`] fault injection
 //! (dropping or forging protocol messages in the harness network)
 //! exists to prove the checker can actually catch protocol bugs.
-
-use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//!
+//! There is one search engine, [`Space`] (see [`shard`]); the unified
+//! sweep and the per-program [`sweep`] are two strategies over it.
 
 use ghostwriter_core::harness::{Op, System, SystemConfig, Violation};
 use ghostwriter_core::l1::GwParams;
-use ghostwriter_core::msg::{Msg, Payload, PayloadCtl, WireTag};
 use ghostwriter_core::proto::find_row;
 use ghostwriter_core::{BaseProtocol, Coverage, GiStorePolicy, RecoveryParams, ScribePolicy};
 
 pub mod shard;
 pub mod trace;
 
-pub use shard::{run_sweep, ShardLog, ShardOptions, SweepOutcome, SweepSpec};
+pub use shard::{run_sweep, ShardLog, ShardOptions, Space, SweepOutcome, SweepSpec};
 pub use trace::{decode_trace, encode_trace};
 
 /// One step of a core's access program: an operation against a pool
@@ -56,9 +55,9 @@ pub type Program = Vec<Vec<Step>>;
 /// interleavings the search enumerates.
 ///
 /// `Issue` carries the step it issues, so a trace alone determines the
-/// access program it exercises: counterexamples from the sharded
-/// unified search ([`shard`]) and from per-program [`Checker`] runs
-/// share one format, one renderer and one replay path.
+/// access program it exercises: counterexamples from the unified search
+/// and from per-program checks share one format, one renderer and one
+/// replay path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Action {
     /// `core` issues `step` (enabled while the core is idle and has
@@ -177,37 +176,6 @@ impl std::fmt::Display for Mutation {
     }
 }
 
-/// Delivers the head of `key`, applying `mutation`'s network-layer
-/// corruption when it matches. The one implementation shared by the
-/// per-program [`Checker`] and the sharded unified search, so a
-/// mutation means exactly the same fault in both engines.
-pub(crate) fn deliver_mutated(
-    sys: &mut System,
-    mutation: Option<Mutation>,
-    key: (usize, usize),
-) -> Result<(), Violation> {
-    match (mutation, sys.peek_channel(key)) {
-        (Some(Mutation::SkipInvalidation), Some(m)) if matches!(m.payload, PayloadCtl::Inv) => {
-            // The L1 never sees the INV, but the directory gets the
-            // ack it is waiting for.
-            let lost = sys.drop_message(key).expect("peeked message present");
-            sys.inject(Msg {
-                src: lost.dst,
-                dst: lost.src,
-                block: lost.block,
-                payload: Payload::InvAck,
-                tag: WireTag::default(),
-            });
-            Ok(())
-        }
-        (Some(Mutation::DropInvAck), Some(m)) if matches!(m.payload, PayloadCtl::InvAck) => {
-            sys.drop_message(key).expect("peeked message present");
-            Ok(())
-        }
-        _ => sys.deliver(key),
-    }
-}
-
 /// Remaining per-core issue budgets, plus the fault budget left in
 /// bounded-fault mode, packed 4 bits per slot (slot `i` in bits
 /// `4i..4i + 4`, so at most 16 slots of at most 15 each). A `Copy`
@@ -259,8 +227,8 @@ impl Budgets {
 /// `state` for every action but the last, which gets `state` itself.
 /// A breadth-first search, which keeps each successor, thus forks one
 /// time fewer per state than it has successors. (The depth-first
-/// searches do the same in place, through `&mut`, so that no `System`
-/// is moved through their stack frames.)
+/// search does the same in place, through `&mut`, so that no `System`
+/// is moved through its stack frames.)
 pub(crate) fn forks(state: System, actions: Vec<Action>) -> impl Iterator<Item = (Action, System)> {
     let last = actions.len().saturating_sub(1);
     let mut state = Some(state);
@@ -275,52 +243,6 @@ pub(crate) fn forks(state: System, actions: Vec<Action>) -> impl Iterator<Item =
             fork.expect("the state moves out at the last action only"),
         )
     })
-}
-
-/// Appends the bounded-fault actions enabled in `sys`: drop/duplicate
-/// on every faultable channel head and corrupt on every corruptible
-/// head while `budget_left`, plus a retry wherever a core is wedged
-/// (outstanding request, nothing in flight for it — recovery is the
-/// only way forward, so retries are never budget-gated). Shared by the
-/// per-program [`Checker`] and the sharded unified search so a fault
-/// means exactly the same thing in both engines.
-pub(crate) fn fault_actions(sys: &System, cores: usize, budget_left: bool, acts: &mut Vec<Action>) {
-    if budget_left {
-        for (src, dst) in sys.channels() {
-            if sys.head_faultable((src, dst)) {
-                acts.push(Action::Drop { src, dst });
-                acts.push(Action::Duplicate { src, dst });
-            }
-            if sys.head_corruptible((src, dst)) {
-                acts.push(Action::Corrupt { src, dst });
-            }
-        }
-    }
-    for core in 0..cores {
-        if sys.needs_retry(core) {
-            acts.push(Action::Retry { core });
-        }
-    }
-}
-
-/// Applies one bounded-fault action (the caller accounts the budget).
-pub(crate) fn apply_fault(sys: &mut System, action: Action) -> Result<(), Violation> {
-    match action {
-        Action::Drop { src, dst } => {
-            sys.drop_message((src, dst));
-            Ok(())
-        }
-        Action::Duplicate { src, dst } => {
-            sys.duplicate_head((src, dst));
-            Ok(())
-        }
-        Action::Corrupt { src, dst } => {
-            sys.taint_head((src, dst));
-            Ok(())
-        }
-        Action::Retry { core } => sys.retry(core).map(|_| ()),
-        _ => unreachable!("not a fault action"),
-    }
 }
 
 /// The recovery parameters a fault budget of `k` turns on: the checker
@@ -397,7 +319,7 @@ impl Counterexample {
     }
 }
 
-/// Outcome of a bounded search.
+/// Outcome of one bounded search ([`Space::check`]).
 #[derive(Debug)]
 pub struct CheckReport {
     /// Distinct states visited (after fingerprint dedup).
@@ -415,275 +337,6 @@ pub struct CheckReport {
     pub coverage: Coverage,
     /// First failure found, already shrunk, if any.
     pub counterexample: Option<Counterexample>,
-}
-
-/// The bounded model checker: a system shape, a fixed access program,
-/// optional fault injection, and search bounds.
-#[derive(Clone, Debug)]
-pub struct Checker {
-    pub sys: SystemConfig,
-    pub program: Program,
-    pub mutation: Option<Mutation>,
-    /// Bounded-fault mode: up to this many message faults (drop,
-    /// duplicate, corrupt) become explicit schedule actions, and the
-    /// recovery rows ([`RecoveryParams::checker`], with the retry
-    /// budget widened to cover the fault budget) are enabled so the
-    /// search proves every ≤k-fault trace still completes. `0` (the
-    /// default) leaves the space and the fingerprints exactly as
-    /// before.
-    pub fault_budget: usize,
-    /// Also interleave GI-timeout sweeps into the schedule (only does
-    /// anything in Ghostwriter configurations).
-    pub explore_gi_timeouts: bool,
-    /// Bound on trace length.
-    pub max_depth: usize,
-    /// Bound on distinct visited states.
-    pub max_states: usize,
-}
-
-impl Checker {
-    /// A checker over `sys` running `program`, with defaults that fully
-    /// exhaust small configurations.
-    pub fn new(sys: SystemConfig, program: Program) -> Self {
-        assert_eq!(program.len(), sys.cores, "one program per core");
-        Self {
-            sys,
-            program,
-            mutation: None,
-            fault_budget: 0,
-            explore_gi_timeouts: false,
-            max_depth: 256,
-            max_states: 1_000_000,
-        }
-    }
-
-    /// The initial budgets: each core's program length, then the fault
-    /// budget in bounded-fault mode. A core's program counter is its
-    /// program length minus its budget left.
-    fn initial_budgets(&self) -> Budgets {
-        let faults = (self.fault_budget > 0).then_some(self.fault_budget);
-        Budgets::new(self.program.iter().map(Vec::len).chain(faults))
-    }
-
-    fn enabled(&self, sys: &System, budgets: Budgets) -> Vec<Action> {
-        let mut acts = Vec::new();
-        for (core, program) in self.program.iter().enumerate() {
-            let left = budgets.get(core);
-            if left > 0 && sys.core_idle(core) {
-                acts.push(Action::Issue {
-                    core,
-                    step: program[program.len() - left],
-                });
-            }
-        }
-        for (src, dst) in sys.channels() {
-            acts.push(Action::Deliver { src, dst });
-        }
-        if self.fault_budget > 0 {
-            let faults_left = budgets.get(self.sys.cores) > 0;
-            fault_actions(sys, self.sys.cores, faults_left, &mut acts);
-        }
-        if self.explore_gi_timeouts {
-            for core in 0..self.sys.cores {
-                if sys.has_gi(core) {
-                    acts.push(Action::GiTimeout { core });
-                }
-            }
-        }
-        acts
-    }
-
-    /// Applies `action` (which must be enabled), running the per-step
-    /// invariant checks and converting controller panics into
-    /// [`Failure::Panic`].
-    fn apply(
-        &self,
-        sys: &mut System,
-        budgets: &mut Budgets,
-        action: Action,
-    ) -> Result<(), Failure> {
-        let step_result = catch_unwind(AssertUnwindSafe(|| match action {
-            Action::Issue { core, step } => {
-                budgets.spend(core);
-                sys.issue(core, step.block, step.op)
-            }
-            Action::Deliver { src, dst } => deliver_mutated(sys, self.mutation, (src, dst)),
-            Action::GiTimeout { core } => sys.gi_timeout(core),
-            Action::Drop { .. } | Action::Duplicate { .. } | Action::Corrupt { .. } => {
-                budgets.spend(self.sys.cores);
-                apply_fault(sys, action)
-            }
-            Action::Retry { .. } => apply_fault(sys, action),
-        }));
-        match step_result {
-            Ok(Ok(())) => sys.check_swmr().map_err(Failure::Invariant),
-            Ok(Err(v)) => Err(Failure::Invariant(v)),
-            Err(payload) => Err(Failure::Panic(panic_text(payload))),
-        }
-    }
-
-    /// What a terminal (no enabled actions) state means: a completed
-    /// quiescent run is checked against the quiescence invariants;
-    /// anything else is blocked forever.
-    fn terminal_failure(&self, sys: &System, budgets: Budgets) -> Option<Failure> {
-        if budgets.drained(self.sys.cores) && sys.quiescent() {
-            sys.check_quiescent().err().map(Failure::Invariant)
-        } else {
-            Some(Failure::Deadlock {
-                busy_cores: sys.busy_cores(),
-            })
-        }
-    }
-
-    /// The initial system, with any [`Mutation::DeleteRow`] applied at
-    /// construction (the row is deleted from the shared table, so both
-    /// the search and every shrinking replay see the same mutant).
-    fn initial_system(&self) -> System {
-        let mut cfg = self.sys;
-        if let Some(Mutation::DeleteRow(name)) = self.mutation {
-            cfg.disabled_row = Some(name);
-        }
-        if self.fault_budget > 0 {
-            cfg.recovery = Some(recovery_for_budget(self.fault_budget));
-        }
-        System::new(cfg)
-    }
-
-    /// Runs the bounded exhaustive search. Stops at the first failure,
-    /// which is returned shrunk.
-    ///
-    /// # Panics
-    /// Panics unless the program and fault budget pack into
-    /// [`Budgets`]: at most 16 cores (15 with a fault budget), and at
-    /// most 15 steps per core and 15 faults.
-    pub fn check(&self) -> CheckReport {
-        let mut report = CheckReport {
-            states: 0,
-            transitions: 0,
-            max_depth: 0,
-            truncated: false,
-            coverage: Coverage::default(),
-            counterexample: None,
-        };
-        let mut sys = self.initial_system();
-        let budgets = self.initial_budgets();
-        let mut visited: HashSet<(u128, u64)> = HashSet::new();
-        visited.insert((sys.fingerprint(), budgets.bits()));
-        report.states = 1;
-        let mut path = Vec::new();
-        let found = self.dfs(&mut sys, budgets, &mut visited, &mut path, &mut report);
-        report.counterexample = found.map(|cex| self.shrink(cex));
-        report
-    }
-
-    /// Searches every state reachable from `sys`, and spends `sys`
-    /// doing so: the last enabled action is applied to it in place, so
-    /// only the others fork it.
-    fn dfs(
-        &self,
-        sys: &mut System,
-        budgets: Budgets,
-        visited: &mut HashSet<(u128, u64)>,
-        path: &mut Vec<Action>,
-        report: &mut CheckReport,
-    ) -> Option<Counterexample> {
-        report.max_depth = report.max_depth.max(path.len());
-        let actions = self.enabled(sys, budgets);
-        if actions.is_empty() {
-            return self
-                .terminal_failure(sys, budgets)
-                .map(|failure| Counterexample::new(path.clone(), failure));
-        }
-        if path.len() >= self.max_depth || report.states >= self.max_states {
-            report.truncated = true;
-            return None;
-        }
-        let last = actions.len() - 1;
-        for (i, action) in actions.into_iter().enumerate() {
-            let mut fork;
-            let next = if i == last {
-                &mut *sys
-            } else {
-                fork = sys.clone();
-                &mut fork
-            };
-            let mut next_budgets = budgets;
-            path.push(action);
-            report.transitions += 1;
-            let applied = self.apply(next, &mut next_budgets, action);
-            report.coverage.merge(&next.stats().coverage);
-            match applied {
-                Err(failure) => {
-                    let cex = Counterexample::new(path.clone(), failure);
-                    path.pop();
-                    return Some(cex);
-                }
-                Ok(()) => {
-                    if visited.insert((next.fingerprint(), next_budgets.bits())) {
-                        report.states += 1;
-                        if let Some(cex) = self.dfs(next, next_budgets, visited, path, report) {
-                            path.pop();
-                            return Some(cex);
-                        }
-                    }
-                }
-            }
-            path.pop();
-        }
-        None
-    }
-
-    /// Deterministically replays `trace` from the initial state through
-    /// the same controllers. Returns the failure it reproduces, or
-    /// `None` if the trace is clean (or contains an action that is not
-    /// enabled at its position — relevant while shrinking).
-    pub fn replay(&self, trace: &[Action]) -> Option<Failure> {
-        let mut sys = self.initial_system();
-        let mut budgets = self.initial_budgets();
-        for &action in trace {
-            if !self.enabled(&sys, budgets).contains(&action) {
-                return None;
-            }
-            if let Err(failure) = self.apply(&mut sys, &mut budgets, action) {
-                return Some(failure);
-            }
-        }
-        // A trace may also fail by *ending* in a bad terminal state
-        // (deadlocks are a property of the final state, not of any
-        // single action).
-        if self.enabled(&sys, budgets).is_empty() {
-            self.terminal_failure(&sys, budgets)
-        } else {
-            None
-        }
-    }
-
-    /// Greedy delta-debugging: repeatedly drop any single action whose
-    /// removal still reproduces *a* failure, until no single removal
-    /// does. The result replays deterministically.
-    pub fn shrink(&self, cex: Counterexample) -> Counterexample {
-        let mut trace = cex.trace;
-        let mut failure = cex.failure;
-        loop {
-            let mut improved = false;
-            let mut i = 0;
-            while i < trace.len() {
-                let mut candidate = trace.clone();
-                candidate.remove(i);
-                if let Some(f) = self.replay(&candidate) {
-                    trace = candidate;
-                    failure = f;
-                    improved = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-        Counterexample::new(trace, failure)
-    }
 }
 
 pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -858,7 +511,9 @@ pub struct SweepReport {
 }
 
 /// Exhaustively checks every interleaving of every program of
-/// `ops_per_core` steps per core. Stops at the first failure.
+/// `ops_per_core` steps per core, one [`Space::program`] search per
+/// program — the per-program strategy the unified search is checked
+/// against. Stops at the first failure.
 pub fn sweep(
     kind: ProtocolKind,
     cores: usize,
@@ -867,14 +522,14 @@ pub fn sweep(
     explore_gi_timeouts: bool,
     mutation: Option<Mutation>,
 ) -> SweepReport {
-    let cfg = check_config(kind, cores, blocks);
-    let alphabet = step_alphabet(kind, cores, blocks);
+    let spec = SweepSpec {
+        gi_timeouts: explore_gi_timeouts,
+        mutation,
+        ..SweepSpec::new(kind, cores, blocks, ops_per_core)
+    };
     let mut report = SweepReport::default();
-    for program in enumerate_programs(&alphabet, cores, ops_per_core) {
-        let mut checker = Checker::new(cfg, program.clone());
-        checker.explore_gi_timeouts = explore_gi_timeouts;
-        checker.mutation = mutation;
-        let r = checker.check();
+    for program in enumerate_programs(&spec.alphabet(), cores, ops_per_core) {
+        let r = Space::program(&spec, &program).check();
         report.programs += 1;
         report.states += r.states;
         report.transitions += r.transitions;
@@ -902,11 +557,19 @@ mod tests {
         vec![conv(a), conv(b)]
     }
 
+    /// The MESI 2c/1b spec of these tests' programs (at most two steps
+    /// per core), with `mutation`.
+    fn mesi_spec(mutation: Option<Mutation>) -> SweepSpec {
+        SweepSpec {
+            mutation,
+            ..SweepSpec::new(ProtocolKind::Mesi, 2, 1, 2)
+        }
+    }
+
     #[test]
     fn single_store_explores_and_passes() {
-        let cfg = check_config(ProtocolKind::Mesi, 2, 1);
         let program = two_core_program(&[(0, Op::Store)], &[]);
-        let report = Checker::new(cfg, program).check();
+        let report = Space::program(&mesi_spec(None), &program).check();
         assert!(report.counterexample.is_none());
         assert!(!report.truncated);
         assert!(report.states > 1);
@@ -916,12 +579,11 @@ mod tests {
     fn conflicting_writers_explore_cleanly() {
         // Both cores store the same block: the full upgrade/invalidate
         // race space must stay invariant-clean.
-        let cfg = check_config(ProtocolKind::Mesi, 2, 1);
         let program = two_core_program(
             &[(0, Op::Store), (0, Op::Store)],
             &[(0, Op::Store), (0, Op::Store)],
         );
-        let report = Checker::new(cfg, program).check();
+        let report = Space::program(&mesi_spec(None), &program).check();
         assert!(
             report.counterexample.is_none(),
             "{}",
@@ -936,13 +598,11 @@ mod tests {
     fn replay_reproduces_search_failures_deterministically() {
         // Store-then-load demotes the owner to a sharer; the second
         // store's UPGRADE generates the INV the mutation corrupts.
-        let cfg = check_config(ProtocolKind::Mesi, 2, 1);
         let program = two_core_program(
             &[(0, Op::Load { writer: 1 })],
             &[(0, Op::Store), (0, Op::Store)],
         );
-        let mut checker = Checker::new(cfg, program);
-        checker.mutation = Some(Mutation::SkipInvalidation);
+        let checker = Space::program(&mesi_spec(Some(Mutation::SkipInvalidation)), &program);
         let report = checker.check();
         let cex = report.counterexample.expect("mutation must be caught");
         for _ in 0..3 {
@@ -959,13 +619,11 @@ mod tests {
         // The acceptance-criteria test: a seeded skipped-invalidation
         // bug is found by exhaustive search and the shrunk
         // counterexample replays in at most 20 steps.
-        let cfg = check_config(ProtocolKind::Mesi, 2, 1);
         let program = two_core_program(
             &[(0, Op::Load { writer: 1 })],
             &[(0, Op::Store), (0, Op::Store)],
         );
-        let mut checker = Checker::new(cfg, program);
-        checker.mutation = Some(Mutation::SkipInvalidation);
+        let checker = Space::program(&mesi_spec(Some(Mutation::SkipInvalidation)), &program);
         let report = checker.check();
         let cex = report
             .counterexample
@@ -983,13 +641,11 @@ mod tests {
 
     #[test]
     fn dropped_inv_ack_deadlocks() {
-        let cfg = check_config(ProtocolKind::Mesi, 2, 1);
         let program = two_core_program(
             &[(0, Op::Load { writer: 1 })],
             &[(0, Op::Store), (0, Op::Store)],
         );
-        let mut checker = Checker::new(cfg, program);
-        checker.mutation = Some(Mutation::DropInvAck);
+        let checker = Space::program(&mesi_spec(Some(Mutation::DropInvAck)), &program);
         let report = checker.check();
         let cex = report.counterexample.expect("lost ack must deadlock");
         assert!(

@@ -1,18 +1,32 @@
-//! Sharded, parallel, cached sweeps: the unified search engine.
+//! The checker's one search engine, and the sharded, parallel, cached
+//! sweep built on it.
 //!
-//! The per-program [`crate::sweep`] enumerates |alphabet|^(cores·ops)
-//! programs and runs a fresh DFS for each — at 3 cores / 2 blocks that
-//! is 262 144 MESI searches which mostly re-explore each other's
-//! prefixes. This module replaces the outer program loop with one
-//! *unified* search: [`Action::Issue`] chooses any alphabet step at
-//! issue time (budgeted to `ops` steps per core), so a search state is
-//! `(System fingerprint, per-core remaining budget)` and the visited
-//! set collapses the cross-program prefix sharing into a single
-//! deduplicated graph. The union of behaviors is identical — every
-//! (program, interleaving) path of the per-program sweep is a path here
-//! and vice versa (asserted row-for-row by the differential tests in
-//! `tests/sweeps.rs`) — but the state count drops by orders of
-//! magnitude.
+//! A [`Space`] is one step function — [`Space::enabled`] and
+//! [`Space::apply`] over the real controllers — plus per-core,
+//! per-program-counter *issue choices*: the steps core `c` may issue as
+//! its `pc`-th operation. Two search strategies differ only in that
+//! data:
+//!
+//! * **Unified** ([`Space::new`], the sweep `gwcheck` runs): every slot
+//!   holds the whole alphabet, so [`Action::Issue`] picks any step at
+//!   issue time (budgeted to `ops` steps per core). A search state is
+//!   `(System fingerprint, per-core remaining budget)`, and the visited
+//!   set collapses the cross-program prefix sharing into one
+//!   deduplicated graph.
+//! * **Per program** ([`Space::program`], driven by [`crate::sweep`]):
+//!   slot `pc` of core `c` holds `program[c][pc]` alone, so one search
+//!   covers the interleavings of one fixed access program, and
+//!   `sweep` enumerates all |alphabet|^(cores·ops) programs around it —
+//!   at 3 cores / 2 blocks that is 262 144 MESI searches which mostly
+//!   re-explore each other's prefixes.
+//!
+//! The union of behaviors is identical — every (program, interleaving)
+//! path of the per-program sweep is a path of the unified space and vice
+//! versa (asserted row-for-row by the differential tests in
+//! `tests/sweeps.rs`) — but the unified state count is orders of
+//! magnitude smaller. Both run the same depth-first search, replay and
+//! shrinker; a per-program check ([`Space::check`]) is the depth-0 case
+//! of the sharding below, run in-process.
 //!
 //! On top of the unified space sits the sharding the work-stealing pool
 //! consumes:
@@ -49,7 +63,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ghostwriter_core::harness::{System, SystemConfig};
+use ghostwriter_core::harness::{System, SystemConfig, Violation};
+use ghostwriter_core::msg::{Msg, Payload, PayloadCtl, WireTag};
 use ghostwriter_core::{Coverage, Json};
 use ghostwriter_exp::cache::{CacheRecord, Miss, ResultCache};
 use ghostwriter_exp::pool::map_parallel;
@@ -57,8 +72,8 @@ use ghostwriter_exp::Fingerprint;
 
 use crate::trace::{decode_trace, encode_trace};
 use crate::{
-    check_config, deliver_mutated, forks, panic_text, step_alphabet, Action, Budgets,
-    Counterexample, Failure, Mutation, ProtocolKind, Step,
+    check_config, forks, panic_text, recovery_for_budget, step_alphabet, Action, Budgets,
+    CheckReport, Counterexample, Failure, Mutation, Program, ProtocolKind, Step,
 };
 
 /// Bumped whenever the unified search's semantics change (alphabet,
@@ -140,7 +155,7 @@ impl SweepSpec {
             cfg.disabled_row = Some(name);
         }
         if self.fault_budget > 0 {
-            cfg.recovery = Some(crate::recovery_for_budget(self.fault_budget));
+            cfg.recovery = Some(recovery_for_budget(self.fault_budget));
         }
         cfg
     }
@@ -248,12 +263,14 @@ impl Counterexample {
     }
 }
 
-/// The unified (program-free) search space over one spec: issue
-/// actions pick any alphabet step, budgeted per core.
+/// One search space over a spec: the step function plus each core's
+/// issue choices (see the module docs).
 pub struct Space {
     spec: SweepSpec,
     cfg: SystemConfig,
-    alphabet: Vec<Step>,
+    /// `issue[c][pc]`: the steps core `c` may issue as its `pc`-th
+    /// operation. `issue[c].len()` is core `c`'s issue budget.
+    issue: Vec<Vec<Vec<Step>>>,
     /// Bound on trace length (absolute, from the initial state).
     pub max_depth: usize,
     /// Bound on newly visited states per shard.
@@ -287,7 +304,33 @@ fn trace_to(
 }
 
 impl Space {
+    /// The unified space: every core may issue any alphabet step at
+    /// each of its `spec.ops` program counters.
     pub fn new(spec: &SweepSpec) -> Self {
+        let slots = vec![spec.alphabet(); spec.ops];
+        Self::with_issue(spec, vec![slots; spec.cores])
+    }
+
+    /// The space of one fixed access program: core `c`'s `pc`-th issue
+    /// is `program[c][pc]`, and its budget is its program's length.
+    ///
+    /// # Panics
+    /// Panics unless `program` has one step list per core, each at most
+    /// `spec.ops` long.
+    pub fn program(spec: &SweepSpec, program: &Program) -> Self {
+        assert_eq!(program.len(), spec.cores, "one program per core");
+        assert!(
+            program.iter().all(|steps| steps.len() <= spec.ops),
+            "a program longer than the spec's ops"
+        );
+        let issue = program
+            .iter()
+            .map(|steps| steps.iter().map(|&step| vec![step]).collect())
+            .collect();
+        Self::with_issue(spec, issue)
+    }
+
+    fn with_issue(spec: &SweepSpec, issue: Vec<Vec<Vec<Step>>>) -> Self {
         assert!(
             spec.cores <= 16 && spec.ops <= 15,
             "state key packs remaining budgets into 4 bits per core"
@@ -298,7 +341,7 @@ impl Space {
         );
         Self {
             cfg: spec.config(),
-            alphabet: spec.alphabet(),
+            issue,
             spec: spec.clone(),
             max_depth: 256,
             max_states: 1_000_000,
@@ -309,27 +352,28 @@ impl Space {
         &self.spec
     }
 
-    /// The initial state. In bounded-fault mode the budgets carry one
-    /// extra slot after the cores': the fault budget left. It rides the
-    /// per-core-budget plumbing (and state-key nibble packing)
-    /// everywhere — plans, shards, caches — so the fault dimension
-    /// needs no new threading.
+    /// The initial state. The budgets hold each core's issue budget,
+    /// then, in bounded-fault mode, one extra slot: the fault budget
+    /// left. It rides the per-core-budget plumbing (and state-key
+    /// nibble packing) everywhere — plans, shards, caches — so the fault
+    /// dimension needs no new threading. A core's program counter is
+    /// its issue budget minus its budget left.
     fn initial(&self) -> (System, Budgets) {
         let faults = (self.spec.fault_budget > 0).then_some(self.spec.fault_budget);
-        let budgets =
-            Budgets::new(std::iter::repeat_n(self.spec.ops, self.spec.cores).chain(faults));
+        let budgets = Budgets::new(self.issue.iter().map(Vec::len).chain(faults));
         (System::new(self.cfg), budgets)
     }
 
     /// Enabled actions, in a fixed deterministic order (issues by core
-    /// then alphabet order, delivers in row-major channel order, timeouts by
-    /// core). Plan and shard searches both depend on this order being
-    /// schedule-independent.
+    /// then choice order, delivers in row-major channel order, then the
+    /// bounded-fault actions, timeouts by core). Plan and shard searches
+    /// both depend on this order being schedule-independent.
     fn enabled(&self, sys: &System, budgets: Budgets) -> Vec<Action> {
         let mut acts = Vec::new();
-        for core in 0..self.spec.cores {
-            if budgets.get(core) > 0 && sys.core_idle(core) {
-                for &step in &self.alphabet {
+        for (core, slots) in self.issue.iter().enumerate() {
+            let left = budgets.get(core);
+            if left > 0 && sys.core_idle(core) {
+                for &step in &slots[slots.len() - left] {
                     acts.push(Action::Issue { core, step });
                 }
             }
@@ -337,16 +381,30 @@ impl Space {
         for (src, dst) in sys.channels() {
             acts.push(Action::Deliver { src, dst });
         }
+        let cores = self.spec.cores;
         if self.spec.fault_budget > 0 {
-            crate::fault_actions(
-                sys,
-                self.spec.cores,
-                budgets.get(self.spec.cores) > 0,
-                &mut acts,
-            );
+            if budgets.get(cores) > 0 {
+                for (src, dst) in sys.channels() {
+                    if sys.head_faultable((src, dst)) {
+                        acts.push(Action::Drop { src, dst });
+                        acts.push(Action::Duplicate { src, dst });
+                    }
+                    if sys.head_corruptible((src, dst)) {
+                        acts.push(Action::Corrupt { src, dst });
+                    }
+                }
+            }
+            // A wedged core (outstanding request, nothing in flight for
+            // it) can only recover by retrying, so retries are never
+            // budget-gated.
+            for core in 0..cores {
+                if sys.needs_retry(core) {
+                    acts.push(Action::Retry { core });
+                }
+            }
         }
         if self.spec.gi_timeouts {
-            for core in 0..self.spec.cores {
+            for core in 0..cores {
                 if sys.has_gi(core) {
                     acts.push(Action::GiTimeout { core });
                 }
@@ -355,6 +413,9 @@ impl Space {
         acts
     }
 
+    /// Applies `action` (which must be enabled), running the per-step
+    /// invariant checks and converting controller panics into
+    /// [`Failure::Panic`].
     fn apply(
         &self,
         sys: &mut System,
@@ -366,13 +427,24 @@ impl Space {
                 budgets.spend(core);
                 sys.issue(core, step.block, step.op)
             }
-            Action::Deliver { src, dst } => deliver_mutated(sys, self.spec.mutation, (src, dst)),
+            Action::Deliver { src, dst } => self.deliver(sys, (src, dst)),
             Action::GiTimeout { core } => sys.gi_timeout(core),
-            Action::Drop { .. } | Action::Duplicate { .. } | Action::Corrupt { .. } => {
+            Action::Drop { src, dst } => {
                 budgets.spend(self.spec.cores);
-                crate::apply_fault(sys, action)
+                sys.drop_message((src, dst));
+                Ok(())
             }
-            Action::Retry { .. } => crate::apply_fault(sys, action),
+            Action::Duplicate { src, dst } => {
+                budgets.spend(self.spec.cores);
+                sys.duplicate_head((src, dst));
+                Ok(())
+            }
+            Action::Corrupt { src, dst } => {
+                budgets.spend(self.spec.cores);
+                sys.taint_head((src, dst));
+                Ok(())
+            }
+            Action::Retry { core } => sys.retry(core).map(|_| ()),
         }));
         match step_result {
             Ok(Ok(())) => sys.check_swmr().map_err(Failure::Invariant),
@@ -381,6 +453,34 @@ impl Space {
         }
     }
 
+    /// Delivers the head of `key`, applying the spec's network-layer
+    /// [`Mutation`] when it matches.
+    fn deliver(&self, sys: &mut System, key: (usize, usize)) -> Result<(), Violation> {
+        match (self.spec.mutation, sys.peek_channel(key)) {
+            (Some(Mutation::SkipInvalidation), Some(m)) if matches!(m.payload, PayloadCtl::Inv) => {
+                // The L1 never sees the INV, but the directory gets the
+                // ack it is waiting for.
+                let lost = sys.drop_message(key).expect("peeked message present");
+                sys.inject(Msg {
+                    src: lost.dst,
+                    dst: lost.src,
+                    block: lost.block,
+                    payload: Payload::InvAck,
+                    tag: WireTag::default(),
+                });
+                Ok(())
+            }
+            (Some(Mutation::DropInvAck), Some(m)) if matches!(m.payload, PayloadCtl::InvAck) => {
+                sys.drop_message(key).expect("peeked message present");
+                Ok(())
+            }
+            _ => sys.deliver(key),
+        }
+    }
+
+    /// What a terminal (no enabled actions) state means: a completed
+    /// quiescent run is checked against the quiescence invariants;
+    /// anything else is blocked forever.
     fn terminal_failure(&self, sys: &System, budgets: Budgets) -> Option<Failure> {
         // Only the per-core issue budgets must drain: leftover fault
         // budget is fine (faults are optional adversary moves).
@@ -391,6 +491,35 @@ impl Space {
                 busy_cores: sys.busy_cores(),
             })
         }
+    }
+
+    /// Searches the whole space from the initial state in one
+    /// depth-first pass — the depth-0 shard, run in-process and
+    /// uncached. Stops at the first failure, which is returned shrunk.
+    pub fn check(&self) -> CheckReport {
+        let (root, budgets) = self.initial();
+        let shard = self.run_shard(root, budgets, &[]);
+        let counterexample = shard
+            .failure_trace
+            .map(|trace| self.shrink(self.reproduce(trace)));
+        CheckReport {
+            // The root, plus every state the search first visited.
+            states: 1 + shard.states as usize,
+            transitions: shard.transitions as usize,
+            max_depth: shard.max_depth as usize,
+            truncated: shard.truncated,
+            coverage: shard.coverage,
+            counterexample,
+        }
+    }
+
+    /// The counterexample a search recorded as `trace`, its failure
+    /// reconstructed by replay.
+    fn reproduce(&self, trace: Vec<Action>) -> Counterexample {
+        let failure = self
+            .replay(&trace)
+            .expect("recorded failing trace must reproduce on replay");
+        Counterexample::new(trace, failure)
     }
 
     /// Deterministically replays `trace` from the initial state.
@@ -548,7 +677,7 @@ impl Space {
         visited.insert(state_key(&root, budgets));
         let mut path = prefix.to_vec();
         result.max_depth = path.len() as u64;
-        let failing = self.shard_dfs(&mut root, budgets, &mut visited, &mut path, &mut result);
+        let failing = self.dfs(&mut root, budgets, &mut visited, &mut path, &mut result);
         result.failure_trace = failing;
         result
     }
@@ -556,7 +685,7 @@ impl Space {
     /// Searches every state reachable from `sys`, and spends `sys`
     /// doing so: the last enabled action is applied to it in place, so
     /// only the others fork it.
-    fn shard_dfs(
+    fn dfs(
         &self,
         sys: &mut System,
         budgets: Budgets,
@@ -596,9 +725,7 @@ impl Space {
                 Ok(()) => {
                     if visited.insert(state_key(next, next_budgets)) {
                         result.states += 1;
-                        if let Some(trace) =
-                            self.shard_dfs(next, next_budgets, visited, path, result)
-                        {
+                        if let Some(trace) = self.dfs(next, next_budgets, visited, path, result) {
                             path.pop();
                             return Some(trace);
                         }
@@ -1007,10 +1134,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &ShardOptions) -> (SweepOutcome, ShardL
         // Reconstruct the failure by replaying the recorded trace —
         // the identical path whether the shard was freshly searched or
         // cache-loaded — then shrink at merge time.
-        let failure = space
-            .replay(&trace)
-            .expect("recorded failing trace must reproduce on replay");
-        let mut raw = Counterexample::new(trace, failure);
+        let mut raw = space.reproduce(trace);
         raw.prefix_len = prefix.len();
         outcome.counterexample = Some(space.shrink(raw.clone()));
         outcome.raw_counterexample = Some(raw);

@@ -11,10 +11,7 @@
 //! the report, and every cache key exactly as they were before the
 //! fault dimension existed.
 
-use ghostwriter_check::shard::Space;
-use ghostwriter_check::{
-    check_config, run_sweep, Checker, Mutation, ProtocolKind, ShardOptions, Step, SweepSpec,
-};
+use ghostwriter_check::{run_sweep, Mutation, ProtocolKind, ShardOptions, Space, Step, SweepSpec};
 use ghostwriter_core::harness::Op;
 
 fn no_cache(jobs: usize) -> ShardOptions {
@@ -128,10 +125,10 @@ fn fault_free_keys_and_commands_are_unchanged() {
 
 #[test]
 fn per_program_checker_supports_fault_budgets_too() {
-    // The per-program Checker shares the fault actions with the sharded
-    // sweep: a single-store program under one fault must explore and
-    // pass, and the fault actions must show up in its transition count.
-    let cfg = check_config(ProtocolKind::Mesi, 2, 1);
+    // A per-program search runs the sweep's fault actions too: a
+    // single-store program under one fault must explore and pass, and
+    // the fault actions must show up in its transition count.
+    let spec = SweepSpec::new(ProtocolKind::Mesi, 2, 1, 1);
     let program = vec![
         vec![Step {
             block: 0,
@@ -139,12 +136,17 @@ fn per_program_checker_supports_fault_budgets_too() {
         }],
         vec![],
     ];
-    let mut checker = Checker::new(cfg, program.clone());
-    let clean = checker.check();
+    let clean = Space::program(&spec, &program).check();
     assert!(clean.counterexample.is_none());
 
-    checker.fault_budget = 1;
-    let faulty = checker.check();
+    let faulty = Space::program(
+        &SweepSpec {
+            fault_budget: 1,
+            ..spec
+        },
+        &program,
+    )
+    .check();
     if let Some(cex) = &faulty.counterexample {
         panic!("recovery hole:\n{}", cex.render(2));
     }

@@ -15,13 +15,20 @@
 //! small; `block_order_hash_ignores_insertion_order` in the core harness
 //! covers it.
 //!
+//! A second golden, `tests/golden/per_program_sweep.txt`, pins the
+//! per-program strategy ([`sweep`]: one search per access program) the
+//! same way: for MESI and Ghostwriter with GI timeouts at 2c/1b ops=2,
+//! the summed program, state and transition counts and the transition
+//! rows hit, with a fingerprint of the per-row counts.
+//!
 //! The shard cache is off, so every run really searches. Regenerate
 //! (only for an intended change to the searched space) with
 //! `UPDATE_GOLDEN=1 cargo test -p ghostwriter-check --test sweep_golden`.
 
 use std::path::PathBuf;
 
-use ghostwriter_check::{run_sweep, ProtocolKind, ShardOptions, SweepSpec};
+use ghostwriter_check::{run_sweep, sweep, ProtocolKind, ShardOptions, SweepSpec};
+use ghostwriter_exp::Fingerprint;
 
 /// The sweep cells of `gwcheck --cores 2 --blocks 1 --require-coverage`
 /// (every protocol at ops=2, then the supplementary Ghostwriter
@@ -67,13 +74,56 @@ fn render() -> String {
     out
 }
 
+/// The per-program sweeps' totals, one line per config.
+fn render_per_program() -> String {
+    let mut out = String::from(
+        "# config\tprograms\tstates\ttransitions\tl1 rows hit\tdir rows hit\tcoverage fingerprint\n",
+    );
+    for (label, kind, gi) in [
+        ("Mesi 2c/1b ops=2", ProtocolKind::Mesi, false),
+        (
+            "Ghostwriter 2c/1b ops=2 +gi-timeouts",
+            ProtocolKind::Ghostwriter,
+            true,
+        ),
+    ] {
+        let report = sweep(kind, 2, 1, 2, gi, None);
+        assert!(
+            report.counterexample.is_none() && !report.truncated,
+            "{label}: sweep must be clean and exhaustive"
+        );
+        let counts = format!("{:?} {:?}", report.coverage.l1, report.coverage.dir);
+        let hit = |rows: &[u64]| rows.iter().filter(|&&n| n > 0).count();
+        out.push_str(&format!(
+            "{label}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+            report.programs,
+            report.states,
+            report.transitions,
+            hit(&report.coverage.l1),
+            hit(&report.coverage.dir),
+            Fingerprint::of(counts.as_bytes()).hex()
+        ));
+    }
+    out
+}
+
 #[test]
 fn sweep_partition_matches_golden() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sweep_partition.txt");
-    let got = render();
+    assert_golden("sweep_partition.txt", &render());
+}
+
+#[test]
+fn per_program_sweep_matches_golden() {
+    assert_golden("per_program_sweep.txt", &render_per_program());
+}
+
+fn assert_golden(file: &str, got: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
+        std::fs::write(&path, got).unwrap();
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -85,7 +135,7 @@ fn sweep_partition_matches_golden() {
     });
     assert_eq!(
         got, want,
-        "the checker's state partition changed: a fingerprint collision or an \
+        "{file}: the checker's state partition changed: a fingerprint collision or an \
          order-dependent hash (see docs/checking.md)"
     );
 }

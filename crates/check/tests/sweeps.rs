@@ -145,17 +145,17 @@ fn unknown_row_names_do_not_parse() {
 
 // ---- differential: unified sharded search vs per-program sweep -------
 //
-// The sharded engine replaces the per-program outer loop with one
-// unified search (Issue actions choose the step, budgeted per core).
-// The program family is the full cartesian product of the alphabet, so
+// The unified search replaces the per-program outer loop with one
+// search (Issue actions choose the step, budgeted per core). The
+// program family is the full cartesian product of the alphabet, so
 // every (program, interleaving) path exists in the unified space and
-// vice versa: both engines must agree that a config is clean and must
-// exercise exactly the same set of transition rows.
+// vice versa: both strategies must agree that a config is clean and
+// must exercise exactly the same set of transition rows.
 
 fn assert_unified_matches_per_program(kind: ProtocolKind, gi: bool) {
     use ghostwriter_check::{run_sweep, ShardOptions, SweepSpec};
-    let legacy = sweep(kind, 2, 1, 2, gi, None);
-    assert!(legacy.counterexample.is_none() && !legacy.truncated);
+    let per_program = sweep(kind, 2, 1, 2, gi, None);
+    assert!(per_program.counterexample.is_none() && !per_program.truncated);
 
     let spec = SweepSpec {
         gi_timeouts: gi,
@@ -174,7 +174,7 @@ fn assert_unified_matches_per_program(kind: ProtocolKind, gi: bool) {
     let (unified, _) = run_sweep(&spec, &opts);
     assert!(unified.counterexample.is_none() && !unified.truncated);
 
-    for (i, (a, b)) in legacy
+    for (i, (a, b)) in per_program
         .coverage
         .l1
         .iter()
@@ -184,10 +184,10 @@ fn assert_unified_matches_per_program(kind: ProtocolKind, gi: bool) {
         assert_eq!(
             *a > 0,
             *b > 0,
-            "{kind:?} gi={gi}: engines disagree on reaching L1 row {i}"
+            "{kind:?} gi={gi}: strategies disagree on reaching L1 row {i}"
         );
     }
-    for (i, (a, b)) in legacy
+    for (i, (a, b)) in per_program
         .coverage
         .dir
         .iter()
@@ -197,17 +197,17 @@ fn assert_unified_matches_per_program(kind: ProtocolKind, gi: bool) {
         assert_eq!(
             *a > 0,
             *b > 0,
-            "{kind:?} gi={gi}: engines disagree on reaching dir row {i}"
+            "{kind:?} gi={gi}: strategies disagree on reaching dir row {i}"
         );
     }
     // Prefix dedup must actually collapse the search: the unified
-    // engine visits strictly fewer states than the per-program engine's
-    // total across its whole program family.
+    // search visits strictly fewer states than the per-program
+    // strategy's total across its whole program family.
     assert!(
-        unified.states < legacy.states as u64,
+        unified.states < per_program.states as u64,
         "{kind:?} gi={gi}: unified search ({}) not smaller than per-program ({})",
         unified.states,
-        legacy.states
+        per_program.states
     );
 }
 

@@ -17,9 +17,7 @@ use std::pin::Pin;
 
 use ghostwriter_mem::{Addr, BlockAddr, Dram, BLOCK_BYTES};
 use ghostwriter_noc::{Mesh, NodeId};
-#[cfg(feature = "legacy-threads")]
-use ghostwriter_sim::ThreadHarness;
-use ghostwriter_sim::{EventQueue, FutureThread, Resumable, Step};
+use ghostwriter_sim::{EventQueue, FutureThread, Step};
 
 use crate::config::{MachineConfig, Protocol};
 use crate::ctx::ThreadCtx;
@@ -38,9 +36,9 @@ use ghostwriter_energy::EnergyModel;
 pub type ThreadBody = Pin<Box<dyn Future<Output = ()>>>;
 
 /// A workload program: one closure per simulated thread. The closure is
-/// `Send` (under the `legacy-threads` oracle it is moved into a worker
-/// OS thread before running); the future it returns is single-threaded
-/// — it owns the engine-side op cell and never crosses threads.
+/// `Send`, so a built machine's programs may be handed to another thread
+/// before the run; the future it returns is single-threaded — it owns
+/// the engine-side op cell and never crosses threads.
 pub type Program = Box<dyn FnOnce(ThreadCtx) -> ThreadBody + Send + 'static>;
 
 /// Builder/owner of one simulation: allocate memory, load inputs, add
@@ -56,8 +54,6 @@ pub struct Machine {
     trace: bool,
     profiling: bool,
     fuse_replies: bool,
-    #[cfg(feature = "legacy-threads")]
-    legacy: bool,
 }
 
 /// One protocol message as seen by the (optional) trace recorder.
@@ -133,8 +129,6 @@ impl Machine {
             trace: false,
             profiling: false,
             fuse_replies: true,
-            #[cfg(feature = "legacy-threads")]
-            legacy: false,
         }
     }
 
@@ -172,16 +166,6 @@ impl Machine {
     /// change what a run computes — only observe it.
     pub fn enable_profiling(&mut self) {
         self.profiling = true;
-    }
-
-    /// Runs this machine's threads on the retired OS-thread rendezvous
-    /// engine instead of the resumable-core engine — the differential-
-    /// testing oracle. Both engines must produce byte-identical results;
-    /// nothing about the simulated machine changes (in particular the
-    /// config cache key is unaffected).
-    #[cfg(feature = "legacy-threads")]
-    pub fn use_legacy_engine(&mut self) {
-        self.legacy = true;
     }
 
     /// Records every protocol message into [`FinishedRun::trace`]. Only
@@ -301,16 +285,11 @@ impl Machine {
     /// instead of a panic. Workload panics still unwind.
     pub fn try_run(self) -> Result<FinishedRun, SimAbort> {
         assert!(!self.programs.is_empty(), "no threads to run");
-        #[cfg(feature = "legacy-threads")]
-        let legacy = self.legacy;
-        #[cfg(not(feature = "legacy-threads"))]
-        let legacy = false;
         let mut engine = Engine::new(
             self.config,
             self.energy_model,
             self.dram,
             self.programs,
-            legacy,
             self.profiling,
             self.fuse_replies,
             self.faults,
@@ -505,93 +484,14 @@ fn post_drain_fetch_report(core: usize, cycle: u64, last_op: &str) -> String {
     )
 }
 
-/// The engine's view of its simulated cores: step one core, get its next
-/// operation (or completion).
-enum Cores {
-    /// Default engine: each thread is a resumable state machine stepped
-    /// with a plain function call — no OS threads, no channels.
-    Resumable(Vec<FutureThread<ThreadOp, ThreadReply>>),
-    /// Differential-testing oracle (`legacy-threads` feature): the same
-    /// workload futures driven by a per-core OS thread rendezvousing
-    /// over the retired channel harness.
-    #[cfg(feature = "legacy-threads")]
-    Legacy(ThreadHarness<Step<ThreadOp>, ThreadReply>),
-}
-
-impl Cores {
-    fn resumable(programs: Vec<Program>) -> Self {
-        Cores::Resumable(
-            programs
-                .into_iter()
-                .enumerate()
-                .map(|(tid, f)| FutureThread::new(move |cell| f(ThreadCtx::new(cell, tid))))
-                .collect(),
-        )
-    }
-
-    #[cfg(feature = "legacy-threads")]
-    fn legacy(programs: Vec<Program>) -> Self {
-        let mut harness = ThreadHarness::new();
-        for (tid, f) in programs.into_iter().enumerate() {
-            harness.spawn(
-                move |port| {
-                    // Mini block-on loop: drive the same workload future
-                    // the resumable engine would, but forward each step
-                    // through the rendezvous channels.
-                    let mut thread = FutureThread::new(move |cell| f(ThreadCtx::new(cell, tid)));
-                    let mut reply = None;
-                    loop {
-                        match thread.resume(reply.take()) {
-                            Step::Op(op) => reply = Some(port.call(Step::Op(op))),
-                            // Re-panic so the harness's unwind capture
-                            // carries the message in the exit marker.
-                            Step::Done(Some(msg)) => std::panic::panic_any(msg),
-                            Step::Done(None) => break,
-                        }
-                    }
-                },
-                Step::Done,
-            );
-        }
-        Cores::Legacy(harness)
-    }
-
-    #[cfg(not(feature = "legacy-threads"))]
-    fn legacy(_: Vec<Program>) -> Self {
-        unreachable!("legacy engine requires the `legacy-threads` feature")
-    }
-
-    /// Feeds `reply` to core `core`'s previous operation and returns its
-    /// next step. Mirrors the old reply-then-next_op rendezvous exactly.
-    fn resume(&mut self, core: usize, reply: Option<ThreadReply>) -> Step<ThreadOp> {
-        match self {
-            Cores::Resumable(threads) => threads[core].resume(reply),
-            #[cfg(feature = "legacy-threads")]
-            Cores::Legacy(harness) => {
-                if let Some(r) = reply {
-                    harness.reply(core, r);
-                }
-                harness.next_op(core)
-            }
-        }
-    }
-
-    fn join(&mut self) {
-        match self {
-            Cores::Resumable(_) => {}
-            #[cfg(feature = "legacy-threads")]
-            Cores::Legacy(harness) => harness.join_all(),
-        }
-    }
-}
-
 struct Engine {
     cfg: MachineConfig,
     energy_model: EnergyModel,
     mesh: Mesh,
     corners: Vec<NodeId>,
     queue: EventQueue<Ev>,
-    cores: Cores,
+    /// One resumable thread per simulated core.
+    cores: Vec<FutureThread<ThreadOp, ThreadReply>>,
     l1s: Vec<L1Cache>,
     banks: Vec<DirBank>,
     dram: Dram,
@@ -647,7 +547,7 @@ struct Engine {
     fault_tick_n: u64,
     /// Last message delivered, for [`SimAbort`] reports.
     last_delivered: Option<(&'static str, Endpoint, Endpoint, BlockAddr)>,
-    /// Core currently inside `Cores::resume`, if any. `resume` carries
+    /// Core currently inside `FutureThread::resume`, if any. `resume` carries
     /// no unwind guard of its own (a per-poll `catch_unwind` costs real
     /// throughput — see `ghostwriter_sim::resume`), so the event loop
     /// installs one guard per run and uses this to tell a workload
@@ -663,7 +563,6 @@ impl Engine {
         energy_model: EnergyModel,
         dram: Dram,
         programs: Vec<Program>,
-        legacy: bool,
         profiling: bool,
         fuse_replies: bool,
         faults: FaultConfig,
@@ -714,11 +613,11 @@ impl Engine {
         }
 
         let threads = programs.len();
-        let cores = if legacy {
-            Cores::legacy(programs)
-        } else {
-            Cores::resumable(programs)
-        };
+        let cores = programs
+            .into_iter()
+            .enumerate()
+            .map(|(tid, f)| FutureThread::new(move |cell| f(ThreadCtx::new(cell, tid))))
+            .collect();
         let link_free = vec![0u64; mesh.num_links()];
 
         let mut eng = Self {
@@ -1140,7 +1039,6 @@ impl Engine {
             assert!(bank.quiescent(), "bank not quiescent after drain");
         }
         self.flush();
-        self.cores.join();
         recycle_queue(std::mem::take(&mut self.queue));
         Ok(())
     }
@@ -1278,17 +1176,11 @@ impl Engine {
         // Two plain stores bracketing the resume tell the run-level
         // unwind guard which core a workload panic belongs to.
         self.resuming = Some(core);
-        let step = self.cores.resume(core, reply);
+        let step = self.cores[core].resume(reply);
         self.resuming = None;
         let op = match step {
             Step::Op(op) => op,
-            Step::Done(panicked) => {
-                if let Some(msg) = panicked {
-                    // Legacy engine only: the OS-thread harness catches
-                    // the unwind at thread scope and forwards the
-                    // message through the exit marker.
-                    panic!("simulated thread {core} panicked: {msg}");
-                }
+            Step::Done => {
                 self.finished[core] = true;
                 self.finish_time[core] = now;
                 self.n_finished += 1;
@@ -1624,33 +1516,6 @@ mod tests {
             )
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[cfg(feature = "legacy-threads")]
-    #[test]
-    fn legacy_engine_matches_resumable_engine() {
-        let run = |legacy: bool| {
-            let mut m = small(Protocol::ghostwriter());
-            if legacy {
-                m.use_legacy_engine();
-            }
-            let shared = m.alloc_padded(64);
-            for t in 0..4usize {
-                m.add_thread(move |ctx| async move {
-                    ctx.approx_begin(4).await;
-                    for i in 0..50u32 {
-                        let a = shared.add(4 * t as u64);
-                        let v = ctx.load_u32(a).await;
-                        ctx.scribble_u32(a, v.wrapping_add(i % 3)).await;
-                    }
-                    ctx.barrier().await;
-                    ctx.approx_end().await;
-                });
-            }
-            let r = m.run();
-            (r.report.cycles, r.report.stats.to_json().to_pretty())
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -6,19 +6,40 @@
 //! ```text
 //! profile_similarity [app] [cores]
 //! ```
+//!
+//! An unknown app, an unparsable core count or one the machine cannot
+//! run is a usage error: a `profile_similarity: <message>` line and
+//! exit 2.
 
 use ghostwriter_exp::experiments::{profile_similarity_render, profile_similarity_spec};
-use ghostwriter_exp::{Engine, Scale};
+use ghostwriter_exp::{Engine, ExperimentSpec, RunKind, Scale};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let app = args.next().unwrap_or_else(|| "linear_regression".into());
-    let cores: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(24);
-    if ghostwriter_workloads::find_benchmark(&app).is_none() {
-        eprintln!("unknown app {app}");
-        std::process::exit(2);
-    }
-    let spec = profile_similarity_spec(&app, cores, Scale::Eval);
+    let spec = build(&app, args.next()).unwrap_or_else(|msg| {
+        eprintln!("profile_similarity: {msg}");
+        std::process::exit(2)
+    });
     let (records, _) = Engine::new(1).run(&spec.runs);
     print!("{}", profile_similarity_render(&spec, &records));
+}
+
+/// The profile of `app` on `cores` cores (24 if absent), or why it
+/// cannot run.
+fn build(app: &str, cores: Option<String>) -> Result<ExperimentSpec, String> {
+    let cores = match cores {
+        None => 24,
+        Some(a) => a
+            .parse()
+            .map_err(|e| format!("bad core count {a:?}: {e}"))?,
+    };
+    if ghostwriter_workloads::find_benchmark(app).is_none() {
+        return Err(format!("unknown app {app}"));
+    }
+    let spec = profile_similarity_spec(app, cores, Scale::Eval);
+    if let RunKind::Workload { config, .. } = &spec.runs[0].kind {
+        config.check().map_err(|e| e.to_string())?;
+    }
+    Ok(spec)
 }

@@ -7,13 +7,35 @@
 //! ```text
 //! protocol_fuzz [seeds] [accesses]
 //! ```
+//!
+//! An unparsable or zero count is a usage error (a zero count would
+//! print `PASS` having checked nothing): a `protocol_fuzz: <message>`
+//! line and exit 2.
 
 use ghostwriter_exp::{Engine, RunKind, RunSpec};
 
+/// Parses the optional positional count `arg` (named `what`), or
+/// exits 2 with a usage error.
+fn count(arg: Option<String>, what: &str, default: usize) -> usize {
+    let parsed = arg.map_or(Ok(default), |a| {
+        a.parse().map_err(|e| format!("bad {what} {a:?}: {e}"))
+    });
+    match parsed {
+        Ok(0) => usage(&format!("{what} must be positive")),
+        Ok(n) => n,
+        Err(msg) => usage(&msg),
+    }
+}
+
+fn usage(msg: &str) -> ! {
+    eprintln!("protocol_fuzz: {msg}");
+    std::process::exit(2)
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
-    let seeds: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(200);
-    let accesses: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(800);
+    let seeds = count(args.next(), "seed count", 200) as u64;
+    let accesses = count(args.next(), "access count", 800);
     let t0 = std::time::Instant::now();
     let spec = RunSpec {
         id: "fuzz".into(),

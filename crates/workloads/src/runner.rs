@@ -58,22 +58,6 @@ pub fn execute(
     run_built(workload, Machine::new(cfg), threads, d)
 }
 
-/// [`execute`], but on the pre-resumable OS-thread engine. Exists solely
-/// so the differential suite can prove both engines produce bit-identical
-/// results; never used by experiments.
-#[cfg(feature = "legacy-threads")]
-pub fn execute_legacy(
-    workload: &mut dyn Workload,
-    cfg: MachineConfig,
-    threads: usize,
-    d: u8,
-) -> RunOutcome {
-    assert!(threads >= 1 && threads <= cfg.cores);
-    let mut m = Machine::new(cfg);
-    m.use_legacy_engine();
-    run_built(workload, m, threads, d)
-}
-
 /// [`execute`] under a fault-injection configuration, with the abort
 /// surfaced as a value: a run that exhausts its retry budget (or hits
 /// any other typed protocol error) returns `Err(SimAbort)` instead of
