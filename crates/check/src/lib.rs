@@ -339,16 +339,6 @@ pub struct CheckReport {
     pub counterexample: Option<Counterexample>,
 }
 
-pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 // ---------------------------------------------------------------------
 // Configuration + program enumeration helpers (shared by tests and the
 // gwcheck CLI).

@@ -69,11 +69,12 @@ use ghostwriter_core::{Coverage, Json};
 use ghostwriter_exp::cache::{CacheRecord, Miss, ResultCache};
 use ghostwriter_exp::pool::map_parallel;
 use ghostwriter_exp::Fingerprint;
+use ghostwriter_sim::panic_message;
 
 use crate::trace::{decode_trace, encode_trace};
 use crate::{
-    check_config, forks, panic_text, recovery_for_budget, step_alphabet, Action, Budgets,
-    CheckReport, Counterexample, Failure, Mutation, Program, ProtocolKind, Step,
+    check_config, forks, recovery_for_budget, step_alphabet, Action, Budgets, CheckReport,
+    Counterexample, Failure, Mutation, Program, ProtocolKind, Step,
 };
 
 /// Bumped whenever the unified search's semantics change (alphabet,
@@ -449,7 +450,7 @@ impl Space {
         match step_result {
             Ok(Ok(())) => sys.check_swmr().map_err(Failure::Invariant),
             Ok(Err(v)) => Err(Failure::Invariant(v)),
-            Err(payload) => Err(Failure::Panic(panic_text(payload))),
+            Err(payload) => Err(Failure::Panic(panic_message(payload))),
         }
     }
 

@@ -78,6 +78,6 @@ pub use machine::{FinishedRun, Machine, Program, SimAbort, ThreadBody};
 pub use prof::{Phase, PhaseCounters, Profile, ALL_PHASES};
 pub use proto::{Coverage, DirRowId, Homing, L1RowId, ProtocolError, Reach};
 pub use scribe::{bit_distance, ScribePolicy, SimilarityHistogram};
-pub use stats::{SimReport, Stats};
+pub use stats::{speedup_percent, SimReport, Stats};
 
 pub use ghostwriter_mem::{Addr, BlockAddr};

@@ -3,7 +3,11 @@
 //! Every quantity the paper's evaluation section plots is collected here:
 //! coherence traffic by message class (Fig. 8), approximate-state service
 //! counters (Fig. 7), energy events (Fig. 9), cycle counts (Figs. 1/10),
-//! and the store value-similarity histogram (Fig. 2).
+//! and the store value-similarity histogram (Fig. 2). The formulas the
+//! figures derive from two runs' counters are defined here once
+//! ([`Stats::gs_service_fraction`], [`Stats::normalized_traffic_vs`],
+//! [`speedup_percent`]; Fig. 9 is `EnergyBreakdown::percent_saved_vs`),
+//! and both `gwsim --compare` and the experiment renderers call them.
 
 use ghostwriter_energy::{EnergyBreakdown, EnergyEvents, EnergyModel};
 use ghostwriter_noc::{MessageKind, TrafficStats};
@@ -11,123 +15,145 @@ use ghostwriter_noc::{MessageKind, TrafficStats};
 use crate::proto::Coverage;
 use crate::scribe::SimilarityHistogram;
 
-/// Raw counters accumulated during a run.
-#[derive(Clone, Debug, Default)]
-pub struct Stats {
-    // ---- instruction stream ----
-    /// Loads issued by all cores.
-    pub loads: u64,
-    /// Conventional stores issued (including scribbles demoted outside
-    /// approximate regions or under the MESI baseline).
-    pub stores: u64,
-    /// Scribbles issued inside an active approximate region.
-    pub scribbles: u64,
-    /// Explicit compute cycles charged via `ctx.work`.
-    pub work_cycles: u64,
-    /// Barrier episodes.
-    pub barriers: u64,
+/// Names every plain `u64` counter of [`Stats`], in declaration order,
+/// with its doc comment, by handing the whole list to `$m`. This is the
+/// one list: the struct itself, [`Stats::merge_from`] and the record
+/// JSON (`Stats::to_json` and the strict `Stats::from_json`) all expand
+/// it, so a new counter is declared, summed and serialised by adding one
+/// line here.
+macro_rules! for_each_stats_counter {
+    ($m:ident) => {
+        $m! {
+            // ---- instruction stream ----
+            /// Loads issued by all cores.
+            loads,
+            /// Conventional stores issued (including scribbles demoted outside
+            /// approximate regions or under the MESI baseline).
+            stores,
+            /// Scribbles issued inside an active approximate region.
+            scribbles,
+            /// Explicit compute cycles charged via `ctx.work`.
+            work_cycles,
+            /// Barrier episodes.
+            barriers,
 
-    // ---- L1 behaviour ----
-    /// Loads that hit in the L1 (any readable state, including GS/GI).
-    pub l1_load_hits: u64,
-    /// Loads that missed (GETS issued).
-    pub l1_load_misses: u64,
-    /// Stores/scribbles serviced without a coherence transaction.
-    pub l1_store_hits: u64,
-    /// Stores/scribbles that took a coherence transaction
-    /// (GETX or UPGRADE).
-    pub l1_store_misses: u64,
+            // ---- L1 behaviour ----
+            /// Loads that hit in the L1 (any readable state, including GS/GI).
+            l1_load_hits,
+            /// Loads that missed (GETS issued).
+            l1_load_misses,
+            /// Stores/scribbles serviced without a coherence transaction.
+            l1_store_hits,
+            /// Stores/scribbles that took a coherence transaction
+            /// (GETX or UPGRADE).
+            l1_store_misses,
 
-    // ---- Ghostwriter counters (Fig. 7) ----
-    /// Scribbles on an S block that passed the d-check: `S → GS`.
-    pub serviced_by_gs: u64,
-    /// Stores (or failed scribbles) on an S block: conventional UPGRADE.
-    pub upgrades_from_s: u64,
-    /// Scribbles on a tag-present Invalid block that passed: `I → GI`.
-    pub serviced_by_gi: u64,
-    /// Stores (or failed scribbles) on a tag-present Invalid block:
-    /// conventional GETX.
-    pub stores_on_invalid_tagged: u64,
-    /// Subsequent store/scribble hits on GS blocks.
-    pub gs_hits: u64,
-    /// Load hits on GI blocks (stale reads).
-    pub gi_load_hits: u64,
-    /// Store/scribble hits on GI blocks (hidden writes).
-    pub gi_store_hits: u64,
-    /// Conventional stores on GS blocks that published via UPGRADE.
-    pub upgrades_from_gs: u64,
-    /// GS blocks returned to I by a remote invalidation (updates lost).
-    pub gs_invalidations: u64,
-    /// GI blocks returned to I by the periodic timeout (updates lost).
-    pub gi_timeouts: u64,
-    /// GI windows ended early by a failed scribble falling back to a
-    /// conventional GETX (updates lost, store published).
-    pub gi_breaks: u64,
-    /// GS/GI blocks evicted by replacement (updates lost).
-    pub approx_evictions: u64,
+            // ---- Ghostwriter counters (Fig. 7) ----
+            /// Scribbles on an S block that passed the d-check: `S → GS`.
+            serviced_by_gs,
+            /// Stores (or failed scribbles) on an S block: conventional UPGRADE.
+            upgrades_from_s,
+            /// Scribbles on a tag-present Invalid block that passed: `I → GI`.
+            serviced_by_gi,
+            /// Stores (or failed scribbles) on a tag-present Invalid block:
+            /// conventional GETX.
+            stores_on_invalid_tagged,
+            /// Subsequent store/scribble hits on GS blocks.
+            gs_hits,
+            /// Load hits on GI blocks (stale reads).
+            gi_load_hits,
+            /// Store/scribble hits on GI blocks (hidden writes).
+            gi_store_hits,
+            /// Conventional stores on GS blocks that published via UPGRADE.
+            upgrades_from_gs,
+            /// GS blocks returned to I by a remote invalidation (updates lost).
+            gs_invalidations,
+            /// GI blocks returned to I by the periodic timeout (updates lost).
+            gi_timeouts,
+            /// GI windows ended early by a failed scribble falling back to a
+            /// conventional GETX (updates lost, store published).
+            gi_breaks,
+            /// GS/GI blocks evicted by replacement (updates lost).
+            approx_evictions,
 
-    // ---- protocol family (MOESI/MOSI/MESIF) ----
-    /// GETS serviced by a dirty owner that retained ownership
-    /// (MOESI/MOSI `O`): the L2 fill was elided — the dirty-sharing
-    /// writeback elision.
-    pub wb_elisions: u64,
-    /// GETS serviced by the clean forwarder (MESIF `F`) without
-    /// touching memory.
-    pub clean_forwards: u64,
+            // ---- protocol family (MOESI/MOSI/MESIF) ----
+            /// GETS serviced by a dirty owner that retained ownership
+            /// (MOESI/MOSI `O`): the L2 fill was elided — the dirty-sharing
+            /// writeback elision.
+            wb_elisions,
+            /// GETS serviced by the clean forwarder (MESIF `F`) without
+            /// touching memory.
+            clean_forwards,
 
-    // ---- memory system ----
-    /// DRAM block reads / writes.
-    pub dram_reads: u64,
-    pub dram_writes: u64,
-    /// L2 recalls (inclusive-victim invalidations of L1 copies).
-    pub l2_recalls: u64,
+            // ---- memory system ----
+            /// DRAM block reads.
+            dram_reads,
+            /// DRAM block writes.
+            dram_writes,
+            /// L2 recalls (inclusive-victim invalidations of L1 copies).
+            l2_recalls,
 
-    // ---- fault injection & recovery (`core::fault`) ----
-    // All zero in fault-free runs. Deliberately *not* added to
-    // `stats_io::for_each_stats_counter!` — record JSON stays
-    // byte-identical; campaigns surface these via `RunRecord.extra`.
-    /// Request resends driven by the L1 retry timeout.
-    pub retries: u64,
-    /// Request resends driven by a directory conflict NACK.
-    pub nack_retries: u64,
-    /// Stale/duplicate grants dropped by sequence-number suppression.
-    pub stale_replies: u64,
-    /// Duplicate requests the directory suppressed without a resend.
-    pub dup_reqs_dropped: u64,
-    /// Duplicate requests answered by resending the retained grant.
-    pub grant_resends: u64,
-    /// Fills NACKed by the directory (nack_on_conflict policy).
-    pub conflict_nacks: u64,
-    /// Tainted fills absorbed into the approximate dataflow.
-    pub corrupt_fills_absorbed: u64,
-    /// Tainted fills quarantined and refetched (precise data).
-    pub corrupt_fills_refetched: u64,
-    /// Tainted DRAM fills the directory discarded and refetched.
-    pub corrupt_mem_refetches: u64,
-    /// Messages the injector dropped / duplicated / delayed / corrupted.
-    pub faults_dropped: u64,
-    pub faults_duplicated: u64,
-    pub faults_delayed: u64,
-    pub faults_corrupted: u64,
-    /// Resident-line bits flipped by the SEU injector.
-    pub faults_line_flips: u64,
-    /// GI timeout sweeps forced by the storm injector.
-    pub gi_storms: u64,
-
-    // ---- figures ----
-    /// NoC traffic by message class.
-    pub traffic: TrafficStats,
-    /// Per-event energy counts.
-    pub energy_events: EnergyEvents,
-    /// Fig. 2 store value-similarity histogram.
-    pub similarity: SimilarityHistogram,
-
-    // ---- observability ----
-    /// Per-row transition-table hit counters (`core::proto`). Not
-    /// serialized into records: coverage reports which table rows a run
-    /// exercised, it is not part of the run's result.
-    pub coverage: Coverage,
+            // ---- fault injection & recovery (`core::fault`) ----
+            // All zero in fault-free runs.
+            /// Request resends driven by the L1 retry timeout.
+            retries,
+            /// Request resends driven by a directory conflict NACK.
+            nack_retries,
+            /// Stale/duplicate grants dropped by sequence-number suppression.
+            stale_replies,
+            /// Duplicate requests the directory suppressed without a resend.
+            dup_reqs_dropped,
+            /// Duplicate requests answered by resending the retained grant.
+            grant_resends,
+            /// Fills NACKed by the directory (nack_on_conflict policy).
+            conflict_nacks,
+            /// Tainted fills absorbed into the approximate dataflow.
+            corrupt_fills_absorbed,
+            /// Tainted fills quarantined and refetched (precise data).
+            corrupt_fills_refetched,
+            /// Tainted DRAM fills the directory discarded and refetched.
+            corrupt_mem_refetches,
+            /// Messages the injector dropped.
+            faults_dropped,
+            /// Messages the injector duplicated.
+            faults_duplicated,
+            /// Messages the injector delayed.
+            faults_delayed,
+            /// Messages the injector corrupted.
+            faults_corrupted,
+            /// Resident-line bits flipped by the SEU injector.
+            faults_line_flips,
+            /// GI timeout sweeps forced by the storm injector.
+            gi_storms,
+        }
+    };
 }
+pub(crate) use for_each_stats_counter;
+
+macro_rules! declare_stats {
+    ($($(#[$doc:meta])* $f:ident,)*) => {
+        /// Raw counters accumulated during a run.
+        #[derive(Clone, Debug, Default)]
+        pub struct Stats {
+            $($(#[$doc])* pub $f: u64,)*
+
+            // ---- figures ----
+            /// NoC traffic by message class.
+            pub traffic: TrafficStats,
+            /// Per-event energy counts.
+            pub energy_events: EnergyEvents,
+            /// Fig. 2 store value-similarity histogram.
+            pub similarity: SimilarityHistogram,
+
+            // ---- observability ----
+            /// Per-row transition-table hit counters (`core::proto`). Not
+            /// serialized into records: coverage reports which table rows a run
+            /// exercised, it is not part of the run's result.
+            pub coverage: Coverage,
+        }
+    };
+}
+for_each_stats_counter!(declare_stats);
 
 impl Stats {
     /// Fraction (0..=1) of stores that would have missed on a Shared
@@ -160,53 +186,36 @@ impl Stats {
     pub fn l1_misses(&self) -> u64 {
         self.l1_load_misses + self.l1_store_misses
     }
+
+    /// Coherence traffic normalized to `baseline`'s (Fig. 8 bar height).
+    pub fn normalized_traffic_vs(&self, baseline: &Stats) -> f64 {
+        let b = baseline.traffic.total();
+        if b == 0 {
+            return 1.0;
+        }
+        self.traffic.total() as f64 / b as f64
+    }
+
+    /// Per-class traffic, each class normalized to the *baseline total*,
+    /// so the stacked classes sum to [`Stats::normalized_traffic_vs`]
+    /// (the Fig. 8 stack).
+    pub fn normalized_traffic_by_class_vs(&self, baseline: &Stats) -> Vec<(MessageKind, f64)> {
+        let b = baseline.traffic.total().max(1) as f64;
+        MessageKind::ALL
+            .iter()
+            .map(|&k| (k, self.traffic.count(k) as f64 / b))
+            .collect()
+    }
 }
 
 impl Stats {
     /// Folds `other` into `self` (used to combine per-core and global
     /// statistics into the run total).
     pub fn merge_from(&mut self, other: &Stats) {
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.scribbles += other.scribbles;
-        self.work_cycles += other.work_cycles;
-        self.barriers += other.barriers;
-        self.l1_load_hits += other.l1_load_hits;
-        self.l1_load_misses += other.l1_load_misses;
-        self.l1_store_hits += other.l1_store_hits;
-        self.l1_store_misses += other.l1_store_misses;
-        self.serviced_by_gs += other.serviced_by_gs;
-        self.upgrades_from_s += other.upgrades_from_s;
-        self.serviced_by_gi += other.serviced_by_gi;
-        self.stores_on_invalid_tagged += other.stores_on_invalid_tagged;
-        self.gs_hits += other.gs_hits;
-        self.gi_load_hits += other.gi_load_hits;
-        self.gi_store_hits += other.gi_store_hits;
-        self.upgrades_from_gs += other.upgrades_from_gs;
-        self.gs_invalidations += other.gs_invalidations;
-        self.gi_timeouts += other.gi_timeouts;
-        self.gi_breaks += other.gi_breaks;
-        self.approx_evictions += other.approx_evictions;
-        self.wb_elisions += other.wb_elisions;
-        self.clean_forwards += other.clean_forwards;
-        self.dram_reads += other.dram_reads;
-        self.dram_writes += other.dram_writes;
-        self.l2_recalls += other.l2_recalls;
-        self.retries += other.retries;
-        self.nack_retries += other.nack_retries;
-        self.stale_replies += other.stale_replies;
-        self.dup_reqs_dropped += other.dup_reqs_dropped;
-        self.grant_resends += other.grant_resends;
-        self.conflict_nacks += other.conflict_nacks;
-        self.corrupt_fills_absorbed += other.corrupt_fills_absorbed;
-        self.corrupt_fills_refetched += other.corrupt_fills_refetched;
-        self.corrupt_mem_refetches += other.corrupt_mem_refetches;
-        self.faults_dropped += other.faults_dropped;
-        self.faults_duplicated += other.faults_duplicated;
-        self.faults_delayed += other.faults_delayed;
-        self.faults_corrupted += other.faults_corrupted;
-        self.faults_line_flips += other.faults_line_flips;
-        self.gi_storms += other.gi_storms;
+        macro_rules! add {
+            ($($(#[$doc:meta])* $f:ident,)*) => { $( self.$f += other.$f; )* };
+        }
+        for_each_stats_counter!(add);
         self.traffic.merge(&other.traffic);
         self.energy_events.merge(&other.energy_events);
         self.similarity.merge(&other.similarity);
@@ -286,41 +295,15 @@ impl SimReport {
             max / mean
         }
     }
+}
 
-    /// Speedup of this run relative to `baseline` in percent
-    /// (the paper's Fig. 10: `(t_base / t_this - 1) × 100`).
-    pub fn speedup_percent_vs(&self, baseline: &SimReport) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        (baseline.cycles as f64 / self.cycles as f64 - 1.0) * 100.0
+/// Speedup of a run of `cycles` over a baseline of `base_cycles`, in
+/// percent (the paper's Fig. 10: `(t_base / t_this - 1) × 100`).
+pub fn speedup_percent(base_cycles: u64, cycles: u64) -> f64 {
+    if cycles == 0 {
+        return 0.0;
     }
-
-    /// Coherence traffic of this run normalized to `baseline`
-    /// (Fig. 8 bar height).
-    pub fn normalized_traffic_vs(&self, baseline: &SimReport) -> f64 {
-        let b = baseline.stats.traffic.total();
-        if b == 0 {
-            return 1.0;
-        }
-        self.stats.traffic.total() as f64 / b as f64
-    }
-
-    /// Per-class normalized traffic (each class normalized to the
-    /// *baseline total*, so the stacked classes sum to
-    /// [`SimReport::normalized_traffic_vs`]).
-    pub fn normalized_traffic_by_class_vs(&self, baseline: &SimReport) -> Vec<(MessageKind, f64)> {
-        let b = baseline.stats.traffic.total().max(1) as f64;
-        MessageKind::ALL
-            .iter()
-            .map(|&k| (k, self.stats.traffic.count(k) as f64 / b))
-            .collect()
-    }
-
-    /// Percent dynamic energy saved vs `baseline` (Fig. 9).
-    pub fn energy_saved_percent_vs(&self, baseline: &SimReport) -> f64 {
-        self.energy.percent_saved_vs(&baseline.energy)
-    }
+    (base_cycles as f64 / cycles as f64 - 1.0) * 100.0
 }
 
 #[cfg(test)]
@@ -383,10 +366,8 @@ mod tests {
 
     #[test]
     fn speedup_math() {
-        let base = report(2000, Stats::default());
-        let fast = report(1600, Stats::default());
-        assert!((fast.speedup_percent_vs(&base) - 25.0).abs() < 1e-9);
-        assert!((base.speedup_percent_vs(&base)).abs() < 1e-9);
+        assert!((speedup_percent(2000, 1600) - 25.0).abs() < 1e-9);
+        assert!(speedup_percent(2000, 2000).abs() < 1e-9);
     }
 
     #[test]
@@ -411,11 +392,9 @@ mod tests {
                 ghostwriter_noc::NodeId(1),
             );
         }
-        let base = report(100, base_stats);
-        let gw = report(100, gw_stats);
-        let split = gw.normalized_traffic_by_class_vs(&base);
+        let split = gw_stats.normalized_traffic_by_class_vs(&base_stats);
         let sum: f64 = split.iter().map(|(_, v)| v).sum();
-        assert!((sum - gw.normalized_traffic_vs(&base)).abs() < 1e-12);
+        assert!((sum - gw_stats.normalized_traffic_vs(&base_stats)).abs() < 1e-12);
         assert!((sum - 0.6).abs() < 1e-12);
     }
 

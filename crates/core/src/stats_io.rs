@@ -3,53 +3,19 @@
 //!
 //! The format is a flat object per sub-structure, written through the
 //! canonical [`crate::json`] writer so identical statistics always
-//! produce identical bytes. Every counter is a `u64` field; the reader
-//! is strict (a missing or mistyped field is an error, not a default),
-//! so schema drift between writer and cached files is detected rather
-//! than silently zero-filled.
+//! produce identical bytes. Every `u64` counter of [`Stats`] is written:
+//! both directions expand `stats::for_each_stats_counter!`, the one list
+//! that also declares the struct. The reader is strict (a missing or
+//! mistyped field is an error, not a default), so a record written
+//! before a counter existed is rejected — the result cache treats it as
+//! a miss and re-runs the cell — rather than silently zero-filled.
 
 use ghostwriter_energy::EnergyEvents;
 use ghostwriter_noc::{MessageKind, TrafficStats};
 
 use crate::json::{Json, JsonError};
 use crate::scribe::SimilarityHistogram;
-use crate::stats::Stats;
-
-/// Applies a macro to every plain `u64` counter field of [`Stats`], in
-/// declaration order. Serialization, deserialization and the round-trip
-/// tests all expand this one list, so adding a `Stats` field only
-/// requires extending it here (the strict reader turns a forgotten
-/// update into a test failure, not silent data loss).
-macro_rules! for_each_stats_counter {
-    ($m:ident) => {
-        $m!(
-            loads,
-            stores,
-            scribbles,
-            work_cycles,
-            barriers,
-            l1_load_hits,
-            l1_load_misses,
-            l1_store_hits,
-            l1_store_misses,
-            serviced_by_gs,
-            upgrades_from_s,
-            serviced_by_gi,
-            stores_on_invalid_tagged,
-            gs_hits,
-            gi_load_hits,
-            gi_store_hits,
-            upgrades_from_gs,
-            gs_invalidations,
-            gi_timeouts,
-            gi_breaks,
-            approx_evictions,
-            dram_reads,
-            dram_writes,
-            l2_recalls
-        );
-    };
-}
+use crate::stats::{for_each_stats_counter, Stats};
 
 macro_rules! for_each_energy_event {
     ($m:ident) => {
@@ -73,7 +39,7 @@ impl Stats {
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj();
         macro_rules! put {
-            ($($f:ident),*) => { $( obj.push(stringify!($f), Json::U64(self.$f)); )* };
+            ($($(#[$doc:meta])* $f:ident,)*) => { $( obj.push(stringify!($f), Json::U64(self.$f)); )* };
         }
         for_each_stats_counter!(put);
 
@@ -103,7 +69,7 @@ impl Stats {
     pub fn from_json(doc: &Json) -> Result<Stats, JsonError> {
         let mut s = Stats::default();
         macro_rules! take {
-            ($($f:ident),*) => { $( s.$f = doc.field(stringify!($f))?.as_u64()?; )* };
+            ($($(#[$doc:meta])* $f:ident,)*) => { $( s.$f = doc.field(stringify!($f))?.as_u64()?; )* };
         }
         for_each_stats_counter!(take);
 
@@ -161,6 +127,8 @@ mod tests {
             scribbles: 3,
             serviced_by_gs: 1 << 60,
             gi_timeouts: 7,
+            wb_elisions: 5,
+            gi_storms: 11,
             ..Default::default()
         };
         s.energy_events.l1_reads = u64::MAX;
@@ -184,6 +152,8 @@ mod tests {
         assert_eq!(back.to_json().to_pretty(), text);
         assert_eq!(back.stores, u64::MAX);
         assert_eq!(back.serviced_by_gs, 1 << 60);
+        assert_eq!(back.wb_elisions, 5);
+        assert_eq!(back.gi_storms, 11);
         assert_eq!(back.traffic.count(MessageKind::Data), 1);
         assert_eq!(back.traffic.flit_hops(), s.traffic.flit_hops());
         assert_eq!(back.energy_events.l1_reads, u64::MAX);

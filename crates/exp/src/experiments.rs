@@ -1060,11 +1060,36 @@ fn ablation_states_render(spec: &ExperimentSpec, records: &[RunRecord]) -> Strin
 
 // ---------------------------------------------------------------------
 // Auto-tuning (§3.5): profile the whole ladder, replay first-fit.
+//
+// The paper points to Green/SAGE-style frameworks that pick the
+// d-distance for a user's output-quality target. This experiment is that
+// loop: it profiles every rung against the precise baseline and picks
+// the most aggressive d whose measured error fits the budget.
 
-/// The tuner's d ladder, most aggressive first (must match
-/// `ghostwriter_workloads::DEFAULT_LADDER`).
+/// The d ladder, most aggressive first.
 const TUNE_LADDER: [u8; 6] = [12, 8, 6, 4, 2, 0];
 const TUNE_BUDGET_PERCENT: f64 = 0.5;
+
+/// The tuner's choice over a profiled ladder (most aggressive first):
+/// the first rung whose output error fits [`TUNE_BUDGET_PERCENT`], or,
+/// when none does, the minimum-error rung. With d = 0 on the ladder
+/// (exact under the default Fallback policy) the fallback is the last
+/// rung.
+fn tune_pick<'a, 'r>(ladder: &'a [(u8, PairView<'r>)]) -> &'a (u8, PairView<'r>) {
+    ladder
+        .iter()
+        .find(|(_, p)| p.output_error_percent() <= TUNE_BUDGET_PERCENT)
+        .unwrap_or_else(|| {
+            ladder
+                .iter()
+                .min_by(|a, b| {
+                    a.1.output_error_percent()
+                        .partial_cmp(&b.1.output_error_percent())
+                        .expect("errors are finite")
+                })
+                .expect("ladder nonempty")
+        })
+}
 
 fn autotune_spec(scale: Scale) -> Vec<RunSpec> {
     let mut runs = Vec::new();
@@ -1103,27 +1128,11 @@ fn autotune_render(spec: &ExperimentSpec, records: &[RunRecord]) -> String {
         &widths,
     );
     for app in PAPER_APPS {
-        // Replay the tuner's descending-first-fit selection over the
-        // cached profile: the ladder includes d = 0 (exact under the
-        // default Fallback policy), so the min-error fallback coincides
-        // with the last rung.
         let candidates: Vec<(u8, PairView)> = TUNE_LADDER
             .iter()
             .map(|&d| (d, pair(spec, records, app, &format!("d{d}"))))
             .collect();
-        let chosen = candidates
-            .iter()
-            .find(|(_, p)| p.output_error_percent() <= TUNE_BUDGET_PERCENT)
-            .unwrap_or_else(|| {
-                candidates
-                    .iter()
-                    .min_by(|a, b| {
-                        a.1.output_error_percent()
-                            .partial_cmp(&b.1.output_error_percent())
-                            .expect("errors are finite")
-                    })
-                    .expect("ladder nonempty")
-            });
+        let chosen = tune_pick(&candidates);
         push_row(
             &mut out,
             &[
@@ -1829,9 +1838,53 @@ mod tests {
         }
     }
 
+    /// Synthetic Ghostwriter records with the given output errors, one
+    /// per rung of a descending ladder.
+    fn tune_ladder(errors: &[f64]) -> Vec<RunRecord> {
+        errors
+            .iter()
+            .map(|&error_percent| RunRecord {
+                error_percent,
+                ..Default::default()
+            })
+            .collect()
+    }
+
+    fn tune_choice(ladder: &[u8], errors: &[f64]) -> u8 {
+        let base = RunRecord::default();
+        let records = tune_ladder(errors);
+        let candidates: Vec<(u8, PairView)> = ladder
+            .iter()
+            .zip(&records)
+            .map(|(&d, gw)| (d, PairView { base: &base, gw }))
+            .collect();
+        tune_pick(&candidates).0
+    }
+
     #[test]
-    fn autotune_ladder_matches_workloads_default() {
-        assert_eq!(TUNE_LADDER, ghostwriter_workloads::DEFAULT_LADDER);
+    fn autotune_picks_first_rung_within_budget() {
+        // Descending ladder: the first rung that fits is the largest d,
+        // even when a later rung has lower error.
+        assert_eq!(
+            tune_choice(&TUNE_LADDER, &[9.0, 0.5, 0.1, 0.0, 0.0, 0.0]),
+            8
+        );
+        assert_eq!(
+            tune_choice(&TUNE_LADDER, &[0.2, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            12
+        );
+        // A loose budget admits the most aggressive rung.
+        assert_eq!(tune_choice(&TUNE_LADDER, &[0.0; 6]), TUNE_LADDER[0]);
+        // Just over the budget does not fit.
+        assert_eq!(tune_choice(&[8, 4], &[0.5001, 0.4]), 4);
+    }
+
+    #[test]
+    fn autotune_falls_back_to_minimum_error_rung() {
+        // No rung fits the 0.5% budget: the least-bad rung wins, wherever
+        // it sits on the ladder.
+        assert_eq!(tune_choice(&[8, 4, 0], &[3.0, 1.5, 2.0]), 4);
+        assert_eq!(tune_choice(&[8, 4], &[0.9, 7.0]), 8);
     }
 
     #[test]

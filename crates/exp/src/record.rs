@@ -1,13 +1,16 @@
 //! The cached result of one run, and derived-quantity views.
 //!
 //! A [`RunRecord`] holds everything a renderer may need — simulated
-//! cycles, output error, the full [`Stats`] block, optional message-trace
-//! lines (scenario runs) and named scalar extras (the fuzzer) — and
-//! nothing non-deterministic: wall-clock time lives in the sweep log,
-//! not here, so a record's canonical JSON is a pure function of its run
-//! spec and can be diffed, checksummed and content-addressed.
+//! cycles, output error, the full [`Stats`] block (every counter: see
+//! `ghostwriter_core::stats_io`), optional message-trace lines (scenario
+//! runs) and named scalar extras (the fuzzer, the campaign's
+//! `completed` flag) — and nothing non-deterministic: wall-clock time
+//! lives in the sweep log, not here, so a record's canonical JSON is a
+//! pure function of its run spec and can be diffed, checksummed and
+//! content-addressed. A record that lacks a counter (one written before
+//! the counter existed) fails the strict reader, so the cache re-runs it.
 
-use ghostwriter_core::{Json, JsonError, Stats};
+use ghostwriter_core::{speedup_percent, Json, JsonError, Stats};
 use ghostwriter_energy::{EnergyBreakdown, EnergyModel};
 use ghostwriter_noc::MessageKind;
 
@@ -135,8 +138,9 @@ pub fn records_fingerprint(records: &[RunRecord]) -> Fingerprint {
 }
 
 /// A baseline/Ghostwriter record pair with the paper's derived
-/// quantities (the [`ghostwriter_workloads::Comparison`] equivalents,
-/// reconstructed from cached records).
+/// quantities. Each one applies the formula defined once in
+/// `ghostwriter_core` (or, for Fig. 9, `ghostwriter_energy`) to the
+/// cached records.
 pub struct PairView<'a> {
     pub base: &'a RunRecord,
     pub gw: &'a RunRecord,
@@ -155,20 +159,14 @@ impl PairView<'_> {
 
     /// Fig. 8: traffic normalized to the baseline total.
     pub fn normalized_traffic(&self) -> f64 {
-        let b = self.base.stats.traffic.total();
-        if b == 0 {
-            return 1.0;
-        }
-        self.gw.stats.traffic.total() as f64 / b as f64
+        self.gw.stats.normalized_traffic_vs(&self.base.stats)
     }
 
     /// Fig. 8 stack: per-class traffic normalized to the baseline total.
     pub fn normalized_traffic_by_class(&self) -> Vec<(MessageKind, f64)> {
-        let b = self.base.stats.traffic.total().max(1) as f64;
-        MessageKind::ALL
-            .iter()
-            .map(|&k| (k, self.gw.stats.traffic.count(k) as f64 / b))
-            .collect()
+        self.gw
+            .stats
+            .normalized_traffic_by_class_vs(&self.base.stats)
     }
 
     /// Fig. 9: % dynamic energy saved vs the baseline.
@@ -178,10 +176,7 @@ impl PairView<'_> {
 
     /// Fig. 10: % speedup over the baseline.
     pub fn speedup_percent(&self) -> f64 {
-        if self.gw.cycles == 0 {
-            return 0.0;
-        }
-        (self.base.cycles as f64 / self.gw.cycles as f64 - 1.0) * 100.0
+        speedup_percent(self.base.cycles, self.gw.cycles)
     }
 
     /// Fig. 11: the Ghostwriter run's output error, percent.

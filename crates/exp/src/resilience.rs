@@ -152,17 +152,19 @@ pub fn run_resilience(
 ) -> RunRecord {
     let mut w = workload.build();
     match execute_faulty(w.as_mut(), config.clone(), threads, d, *faults) {
-        Ok(out) => {
-            let mut extra = vec![("completed".to_string(), 1.0)];
-            extra.extend(recovery_extras(&out.report.stats));
-            RunRecord {
-                cycles: out.report.cycles,
-                error_percent: out.error_percent,
-                stats: out.report.stats,
-                trace: Vec::new(),
-                extra,
-            }
-        }
+        Ok(out) => RunRecord {
+            cycles: out.report.cycles,
+            error_percent: out.error_percent,
+            // `retries` duplicates `stats.retries` because an outside
+            // reader needs it under this name: gw-benchmark's
+            // `core.fault.retries_per_cell` (`benchmark/src/trace.rs`).
+            extra: vec![
+                ("completed".to_string(), 1.0),
+                ("retries".to_string(), out.report.stats.retries as f64),
+            ],
+            stats: out.report.stats,
+            trace: Vec::new(),
+        },
         Err(abort) => RunRecord {
             cycles: abort.cycle,
             error_percent: 0.0,
@@ -176,48 +178,18 @@ pub fn run_resilience(
     }
 }
 
-/// The fault/recovery counters as named record extras. These counters
-/// are deliberately excluded from the stats JSON (fault-free record
-/// payloads stay byte-identical to pre-fault history), so the extras
-/// are their only durable, cacheable form.
-fn recovery_extras(s: &Stats) -> Vec<(String, f64)> {
-    [
-        ("retries", s.retries),
-        ("nack_retries", s.nack_retries),
-        ("stale_replies", s.stale_replies),
-        ("dup_reqs_dropped", s.dup_reqs_dropped),
-        ("grant_resends", s.grant_resends),
-        ("conflict_nacks", s.conflict_nacks),
-        ("fills_absorbed", s.corrupt_fills_absorbed),
-        ("fills_refetched", s.corrupt_fills_refetched),
-        ("mem_refetches", s.corrupt_mem_refetches),
-        ("faults_dropped", s.faults_dropped),
-        ("faults_duplicated", s.faults_duplicated),
-        ("faults_delayed", s.faults_delayed),
-        ("faults_corrupted", s.faults_corrupted),
-    ]
-    .into_iter()
-    .map(|(k, v)| (k.to_string(), v as f64))
-    .collect()
-}
-
-fn extra(rec: &RunRecord, key: &str) -> f64 {
-    rec.extra_value(key).unwrap_or(0.0)
+fn completed(rec: &RunRecord) -> bool {
+    rec.extra_value("completed") == Some(1.0)
 }
 
 /// Events where recovery machinery restored precise data (the
 /// "recovered" side of the resilience split).
-fn recovered(rec: &RunRecord) -> f64 {
-    extra(rec, "retries")
-        + extra(rec, "nack_retries")
-        + extra(rec, "grant_resends")
-        + extra(rec, "fills_refetched")
-        + extra(rec, "mem_refetches")
-}
-
-/// Tainted fills absorbed into approximate data (the "degraded" side).
-fn degraded(rec: &RunRecord) -> f64 {
-    extra(rec, "fills_absorbed")
+fn recovered(s: &Stats) -> u64 {
+    s.retries
+        + s.nack_retries
+        + s.grant_resends
+        + s.corrupt_fills_refetched
+        + s.corrupt_mem_refetches
 }
 
 /// Renders the campaign report: one table per workload plus the curve
@@ -240,7 +212,8 @@ pub fn render_campaign(spec: &ExperimentSpec, records: &[RunRecord]) -> String {
         for (proto_name, _) in PROTOCOLS {
             for rate in RATES_PERMILLE {
                 let r = rec(wl, proto_name, rate);
-                let done = extra(r, "completed") > 0.0;
+                let done = completed(r);
+                let st = &r.stats;
                 s.push_str(&format!(
                     "{:<6} {:>14} {:<4} {:>12} {:>7.3} {:>8} {:>8} {:>8} {:>7} {:>6} {:>6} {:>6} {:>8}\n",
                     proto_name,
@@ -248,14 +221,14 @@ pub fn render_campaign(spec: &ExperimentSpec, records: &[RunRecord]) -> String {
                     if done { "yes" } else { "ABRT" },
                     r.cycles,
                     r.error_percent,
-                    extra(r, "retries") as u64,
-                    (extra(r, "grant_resends") + extra(r, "nack_retries")) as u64,
-                    (extra(r, "fills_refetched") + extra(r, "mem_refetches")) as u64,
-                    degraded(r) as u64,
-                    extra(r, "faults_dropped") as u64,
-                    extra(r, "faults_duplicated") as u64,
-                    extra(r, "faults_delayed") as u64,
-                    extra(r, "faults_corrupted") as u64,
+                    st.retries,
+                    st.grant_resends + st.nack_retries,
+                    st.corrupt_fills_refetched + st.corrupt_mem_refetches,
+                    st.corrupt_fills_absorbed,
+                    st.faults_dropped,
+                    st.faults_duplicated,
+                    st.faults_delayed,
+                    st.faults_corrupted,
                 ));
                 if !done {
                     for line in &r.trace {
@@ -271,7 +244,7 @@ pub fn render_campaign(spec: &ExperimentSpec, records: &[RunRecord]) -> String {
                 .iter()
                 .map(|&rate| {
                     let r = rec(wl, proto_name, rate);
-                    if extra(r, "completed") > 0.0 {
+                    if completed(r) {
                         format!("{rate}:{:.3}", r.error_percent)
                     } else {
                         format!("{rate}:abort")
@@ -292,8 +265,8 @@ pub fn render_campaign(spec: &ExperimentSpec, records: &[RunRecord]) -> String {
                         let r = rec(wl, proto_name, rate);
                         format!(
                             "{proto_name} {}/{}",
-                            recovered(r) as u64,
-                            degraded(r) as u64
+                            recovered(&r.stats),
+                            r.stats.corrupt_fills_absorbed
                         )
                     })
                     .collect();

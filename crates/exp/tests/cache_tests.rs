@@ -7,7 +7,8 @@ use std::path::PathBuf;
 use ghostwriter_core::{MachineConfig, Protocol};
 use ghostwriter_exp::spec::SPEC_REVISION;
 use ghostwriter_exp::{
-    Engine, Fingerprint, Miss, ResultCache, RunKind, RunRecord, RunSpec, WorkloadSpec,
+    find_experiment, Engine, Fingerprint, Miss, ResultCache, RunKind, RunRecord, RunSpec, Scale,
+    WorkloadSpec,
 };
 use ghostwriter_workloads::ScaleClass;
 
@@ -193,4 +194,36 @@ fn clean_empties_the_cache() {
     assert_eq!(engine.cache.len(), 2);
     assert_eq!(engine.cache.clean().unwrap(), 2);
     assert!(engine.cache.is_empty());
+}
+
+#[test]
+fn records_missing_a_counter_are_misses() {
+    // A cache file as written before `wb_elisions`, `clean_forwards` and
+    // the fault counters were serialised: the protocol ladder's
+    // histogram/moesi smoke cell, whose record carries no `wb_elisions`
+    // at all. Its cache key is unchanged, so the lookup finds the file;
+    // the strict reader must make it a miss, never a record with the
+    // missing counters zeroed.
+    let spec = find_experiment("protocol_ladder")
+        .unwrap()
+        .spec(Scale::Smoke);
+    let cell = &spec.runs[spec.index_of("histogram/moesi")];
+    let cache = scratch("stale");
+    fs::create_dir_all(cache.dir()).unwrap();
+    fs::write(
+        cache.path_of(cell.fingerprint()),
+        include_str!("fixtures/stale_ladder_record.json"),
+    )
+    .unwrap();
+    match cache.load::<RunRecord>(cell.fingerprint()) {
+        Err(Miss::Corrupt(why)) => assert!(why.contains("wb_elisions"), "{why}"),
+        other => panic!("a record missing counters must be a miss, got {other:?}"),
+    }
+
+    // The engine re-runs the cell, and the fresh record has the
+    // elisions the stale one lost.
+    let engine = engine_with(cache, 1);
+    let (records, log) = engine.run(std::slice::from_ref(cell));
+    assert_eq!((log.executed, log.corrupt), (1, 1));
+    assert!(records[0].stats.wb_elisions > 0);
 }

@@ -126,8 +126,8 @@ fn degradation_split_has_both_sides() {
         .unwrap();
     let rec = execute_spec(cell);
     assert_eq!(rec.extra_value("completed"), Some(1.0));
-    assert!(rec.extra_value("fills_refetched").unwrap_or(0.0) > 0.0);
-    assert!(rec.extra_value("fills_absorbed").unwrap_or(0.0) > 0.0);
+    assert!(rec.stats.corrupt_fills_refetched > 0);
+    assert!(rec.stats.corrupt_fills_absorbed > 0);
 }
 
 fn golden_path() -> PathBuf {

@@ -23,7 +23,6 @@ pub mod pca;
 pub mod registry;
 pub mod runner;
 pub mod sobel;
-pub mod tuner;
 
 pub use blackscholes::BlackScholes;
 pub use dot::{BadDotProduct, GoodDotProduct};
@@ -38,8 +37,5 @@ pub use registry::{
     extended_benchmarks, find_benchmark, micro_benchmarks, paper_benchmarks, BenchmarkEntry,
     ScaleClass, Suite, DEFAULT_SEED,
 };
-pub use runner::{
-    compare, compare_default, execute, execute_faulty, Comparison, RunOutcome, Workload,
-};
+pub use runner::{execute, execute_faulty, RunOutcome, Workload};
 pub use sobel::Sobel;
-pub use tuner::{autotune, Candidate, TuneResult, DEFAULT_LADDER};

@@ -1,14 +1,14 @@
-//! The workload abstraction and the paper's evaluation harness.
+//! The workload abstraction and its runner.
 //!
 //! A [`Workload`] knows how to populate a [`Machine`] with its inputs and
 //! threads, how to read its output back from the final coherent memory
 //! image, and what a precise execution produces. [`execute`] runs one
-//! configuration; [`compare`] runs the paper's baseline-vs-Ghostwriter
-//! experiment and derives every Fig. 7–11 quantity.
+//! configuration. Baseline-vs-Ghostwriter comparisons are two
+//! `execute` calls; the Fig. 7–10 formulas over a pair live on
+//! `ghostwriter_core::Stats` (the experiment engine's `PairView`
+//! applies them to cached records).
 
-use ghostwriter_core::{
-    FaultConfig, FinishedRun, Machine, MachineConfig, Protocol, SimAbort, SimReport,
-};
+use ghostwriter_core::{FaultConfig, FinishedRun, Machine, MachineConfig, SimAbort, SimReport};
 
 use crate::metrics::Metric;
 
@@ -92,99 +92,4 @@ fn finish(workload: &dyn Workload, run: FinishedRun) -> RunOutcome {
         output,
         error_percent,
     }
-}
-
-/// The paper's per-application experiment: one baseline MESI run and one
-/// Ghostwriter run on identical inputs, plus the derived quantities.
-pub struct Comparison {
-    /// Application name.
-    pub name: &'static str,
-    /// d-distance used for the Ghostwriter run.
-    pub d: u8,
-    /// Baseline MESI outcome.
-    pub baseline: RunOutcome,
-    /// Ghostwriter outcome.
-    pub ghostwriter: RunOutcome,
-}
-
-impl Comparison {
-    /// Fig. 7a: % of stores that would have missed on S serviced by GS.
-    pub fn gs_serviced_percent(&self) -> f64 {
-        self.ghostwriter.report.stats.gs_service_fraction() * 100.0
-    }
-
-    /// Fig. 7b: % of stores that would have missed on I serviced by GI.
-    pub fn gi_serviced_percent(&self) -> f64 {
-        self.ghostwriter.report.stats.gi_service_fraction() * 100.0
-    }
-
-    /// Fig. 8: Ghostwriter coherence traffic normalized to baseline.
-    pub fn normalized_traffic(&self) -> f64 {
-        self.ghostwriter
-            .report
-            .normalized_traffic_vs(&self.baseline.report)
-    }
-
-    /// Fig. 9: % dynamic energy saved in NoC + memory hierarchy.
-    pub fn energy_saved_percent(&self) -> f64 {
-        self.ghostwriter
-            .report
-            .energy_saved_percent_vs(&self.baseline.report)
-    }
-
-    /// Fig. 10: % speedup over the baseline.
-    pub fn speedup_percent(&self) -> f64 {
-        self.ghostwriter
-            .report
-            .speedup_percent_vs(&self.baseline.report)
-    }
-
-    /// Fig. 11: output error of the Ghostwriter run, in percent.
-    pub fn output_error_percent(&self) -> f64 {
-        self.ghostwriter.error_percent
-    }
-}
-
-/// Runs the baseline/Ghostwriter pair for one workload. `factory` must
-/// produce identically-seeded workloads.
-pub fn compare(
-    factory: &dyn Fn() -> Box<dyn Workload>,
-    cores: usize,
-    threads: usize,
-    d: u8,
-    gw_protocol: Protocol,
-) -> Comparison {
-    assert!(gw_protocol.is_ghostwriter());
-    let mk_cfg = |protocol| MachineConfig {
-        cores,
-        protocol,
-        ..MachineConfig::default()
-    };
-    let mut base_w = factory();
-    let baseline = execute(base_w.as_mut(), mk_cfg(Protocol::Mesi), threads, d);
-    assert_eq!(
-        baseline.error_percent,
-        0.0,
-        "{}: baseline MESI must be exact",
-        base_w.name()
-    );
-    let mut gw_w = factory();
-    let name = gw_w.name();
-    let ghostwriter = execute(gw_w.as_mut(), mk_cfg(gw_protocol), threads, d);
-    Comparison {
-        name,
-        d,
-        baseline,
-        ghostwriter,
-    }
-}
-
-/// Convenience wrapper using the paper's default Ghostwriter protocol.
-pub fn compare_default(
-    factory: &dyn Fn() -> Box<dyn Workload>,
-    cores: usize,
-    threads: usize,
-    d: u8,
-) -> Comparison {
-    compare(factory, cores, threads, d, Protocol::ghostwriter())
 }

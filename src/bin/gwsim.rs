@@ -16,7 +16,7 @@
 //! error: a message and exit code 2, before anything is simulated.
 
 use ghostwriter::core::config::{GiStorePolicy, GwConfig};
-use ghostwriter::core::{BaseProtocol, MachineConfig, Protocol};
+use ghostwriter::core::{speedup_percent, BaseProtocol, MachineConfig, Protocol};
 use ghostwriter::workloads::{
     execute, micro_benchmarks, paper_benchmarks, BenchmarkEntry, ScaleClass,
 };
@@ -206,9 +206,9 @@ fn main() {
         );
         println!(
             "  speedup {:.1}%  traffic {:.3}  energy saved {:.1}%  error {:.4}%",
-            g.report.speedup_percent_vs(&base.report),
-            g.report.normalized_traffic_vs(&base.report),
-            g.report.energy_saved_percent_vs(&base.report),
+            speedup_percent(base.report.cycles, g.report.cycles),
+            g.report.stats.normalized_traffic_vs(&base.report.stats),
+            g.report.energy.percent_saved_vs(&base.report.energy),
             g.error_percent
         );
         println!(

@@ -3,7 +3,7 @@
 
 use ghostwriter::core::config::GwConfig;
 use ghostwriter::core::{Machine, MachineConfig, Protocol};
-use ghostwriter::workloads::{compare, BadDotProduct};
+use ghostwriter::workloads::{execute, BadDotProduct};
 
 fn machine(cores: usize, protocol: Protocol) -> Machine {
     Machine::new(MachineConfig {
@@ -91,30 +91,20 @@ fn approx_end_keeps_gs_blocks_warm() {
 #[test]
 fn error_bound_tames_capture_divergence() {
     let run = |bound| {
-        let p = Protocol::Ghostwriter(GwConfig {
+        capture_error_and_traffic(Protocol::Ghostwriter(GwConfig {
             gi_stores: ghostwriter::core::GiStorePolicy::Capture,
             max_hidden_writes: bound,
             ..GwConfig::default()
-        });
-        compare(
-            &|| Box::new(BadDotProduct::with_work(0xF16, 1_200, true, 64)),
-            8,
-            8,
-            4,
-            p,
-        )
+        }))
     };
-    let unbounded = run(None);
-    let bounded = run(Some(4));
+    let (unbounded_error, _) = run(None);
+    let (bounded_error, bounded_traffic) = run(Some(4));
     assert!(
-        bounded.output_error_percent() < unbounded.output_error_percent() / 2.0
-            || unbounded.output_error_percent() < 1.0,
-        "bound must cut error: {} vs {}",
-        bounded.output_error_percent(),
-        unbounded.output_error_percent()
+        bounded_error < unbounded_error / 2.0 || unbounded_error < 1.0,
+        "bound must cut error: {bounded_error} vs {unbounded_error}"
     );
     assert!(
-        bounded.normalized_traffic() < 1.0,
+        bounded_traffic < 1.0,
         "bounded run should still save traffic"
     );
 }
@@ -123,27 +113,39 @@ fn error_bound_tames_capture_divergence() {
 /// longer GI timeout hides more work and loses more of it.
 #[test]
 fn longer_timeout_means_more_error_under_capture() {
-    let run = |timeout| {
-        compare(
-            &|| Box::new(BadDotProduct::with_work(0xF16, 1_200, true, 64)),
-            8,
-            8,
-            4,
-            Protocol::ghostwriter_capture(timeout),
-        )
-    };
-    let short = run(128);
-    let long = run(2048);
+    let (short_error, short_traffic) =
+        capture_error_and_traffic(Protocol::ghostwriter_capture(128));
+    let (long_error, long_traffic) = capture_error_and_traffic(Protocol::ghostwriter_capture(2048));
     assert!(
-        long.output_error_percent() >= short.output_error_percent(),
-        "error should grow with the timeout: {} vs {}",
-        long.output_error_percent(),
-        short.output_error_percent()
+        long_error >= short_error,
+        "error should grow with the timeout: {long_error} vs {short_error}"
     );
     assert!(
-        long.normalized_traffic() <= short.normalized_traffic() + 1e-9,
+        long_traffic <= short_traffic + 1e-9,
         "traffic should shrink with the timeout"
     );
+}
+
+/// The pathological dot product on 8 cores at d = 4 under `protocol`:
+/// its output error (%) and its coherence traffic normalized to a
+/// baseline MESI run of the same inputs.
+fn capture_error_and_traffic(protocol: Protocol) -> (f64, f64) {
+    let run = |protocol| {
+        let mut w = BadDotProduct::with_work(0xF16, 1_200, true, 64);
+        let cfg = MachineConfig {
+            cores: 8,
+            protocol,
+            ..MachineConfig::default()
+        };
+        execute(&mut w, cfg, 8, 4)
+    };
+    let base = run(Protocol::Mesi);
+    assert_eq!(base.error_percent, 0.0, "baseline MESI must be exact");
+    let gw = run(protocol);
+    (
+        gw.error_percent,
+        gw.report.stats.normalized_traffic_vs(&base.report.stats),
+    )
 }
 
 /// The d-legality rule (§3.1): d ≥ 8 on byte accesses demotes to
