@@ -1082,8 +1082,15 @@ pub fn run_sweep(spec: &SweepSpec, opts: &ShardOptions) -> (SweepOutcome, ShardL
                 Ok(rec) => (rec, true, false),
                 Err(miss) => {
                     let corrupt = matches!(miss, Miss::Corrupt(_));
-                    if let Miss::Corrupt(why) = &miss {
-                        eprintln!("gwcheck: discarding corrupt shard {}: {why}", fp.hex());
+                    match &miss {
+                        Miss::Absent => {}
+                        Miss::Stale(why) => eprintln!(
+                            "gwcheck: discarding shard in an older record format {}: {why}",
+                            fp.hex()
+                        ),
+                        Miss::Corrupt(why) => {
+                            eprintln!("gwcheck: discarding corrupt shard {}: {why}", fp.hex())
+                        }
                     }
                     let rec = space.run_shard(sys, budgets, &prefix);
                     let key = format!("{}|depth={}|prefix={}", spec.key(), plan.depth, {

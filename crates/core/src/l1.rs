@@ -111,6 +111,8 @@ pub struct GwParams {
 #[derive(Debug)]
 pub enum L1Out {
     /// The outstanding demand access completed with this (load) value.
+    /// The kernel's [`L1Cache::access_into`] returns a hit's value
+    /// instead, so there this only ends a miss.
     Reply { value: u64 },
     /// Send a protocol message.
     Send(Msg),
@@ -240,6 +242,11 @@ pub struct L1Cache {
     cur_req: Option<Payload>,
     /// Retries already spent on the outstanding transaction.
     retries_used: u32,
+    /// Resident lines in `GI`, kept in step with every transition into
+    /// or out of it so the periodic timeout sweep can skip an L1 with
+    /// none (the common case) without scanning its lines. Derivable from
+    /// `cache`, so excluded from `Hash`.
+    gi_lines: usize,
 }
 
 impl std::hash::Hash for L1Cache {
@@ -300,6 +307,7 @@ impl L1Cache {
             cur_seq: 0,
             cur_req: None,
             retries_used: 0,
+            gi_lines: 0,
         }
     }
 
@@ -348,8 +356,15 @@ impl L1Cache {
             | LookupResult::Free { way }
             | LookupResult::Victim { way, .. } => way,
         };
-        self.cache
+        let displaced = self
+            .cache
             .insert_at(way, block, L1Meta::new(state), BlockData::zeroed());
+        if displaced.is_some_and(|l| l.meta.state == L1State::Gi) {
+            self.gi_lines -= 1;
+        }
+        if state == L1State::Gi {
+            self.gi_lines += 1;
+        }
     }
 
     /// Deletes the named table row (checker mutation support): the next
@@ -584,19 +599,25 @@ impl L1Cache {
     /// protocol error the harness surfaces as a violation.
     pub fn access(&mut self, req: CoreReq, stats: &mut Stats) -> Result<Vec<L1Out>, ProtocolError> {
         let mut out = Vec::new();
-        self.access_into(req, stats, &mut out)?;
+        if let Some(value) = self.access_into(req, stats, &mut out)? {
+            out.push(L1Out::Reply { value });
+        }
         Ok(out)
     }
 
-    /// Allocation-free form of [`L1Cache::access`]: appends outputs to
-    /// `out` instead of returning a fresh `Vec`. The simulation kernel
-    /// calls this with a reused scratch buffer.
+    /// Allocation-free form of [`L1Cache::access`], the simulation
+    /// kernel's entry point. A hit returns `Some(value)` (the loaded word,
+    /// 0 for a store) and touches nothing else: no [`L1Out::Reply`] goes
+    /// through the outbox, so the engine resumes the core straight from
+    /// the return value. A miss returns `None` and appends the
+    /// transaction's messages to `out` (a reused scratch buffer); the
+    /// reply arrives later from [`L1Cache::handle_msg_into`].
     pub fn access_into(
         &mut self,
         req: CoreReq,
         stats: &mut Stats,
         out: &mut Vec<L1Out>,
-    ) -> Result<(), ProtocolError> {
+    ) -> Result<Option<u64>, ProtocolError> {
         assert!(
             self.pending.is_none(),
             "core {} issued a second outstanding access",
@@ -660,7 +681,7 @@ impl L1Cache {
         self.cache
             .insert_at(way, block, L1Meta::new(state), BlockData::zeroed());
         self.start_txn(req, block, payload, out);
-        Ok(())
+        Ok(None)
     }
 
     /// Demand access when the block's tag is present in state `state`;
@@ -673,7 +694,7 @@ impl L1Cache {
         state: L1State,
         stats: &mut Stats,
         out: &mut Vec<L1Out>,
-    ) -> Result<(), ProtocolError> {
+    ) -> Result<Option<u64>, ProtocolError> {
         let block = req.addr.block();
         let offset = req.addr.offset();
         let size = req.size as usize;
@@ -705,10 +726,7 @@ impl L1Cache {
                     stats.energy_events.l1_reads += 1;
                     self.cache.touch_at(w);
                     let v = self.cache.line_at(w).data.read_word(offset, size);
-                    {
-                        out.push(L1Out::Reply { value: v });
-                        Ok(())
-                    }
+                    Ok(Some(v))
                 }
                 L1State::O | L1State::F => {
                     let row = if state == L1State::O {
@@ -721,10 +739,7 @@ impl L1Cache {
                     stats.energy_events.l1_reads += 1;
                     self.cache.touch_at(w);
                     let v = self.cache.line_at(w).data.read_word(offset, size);
-                    {
-                        out.push(L1Out::Reply { value: v });
-                        Ok(())
-                    }
+                    Ok(Some(v))
                 }
                 L1State::Gi => {
                     self.row(L1RowId::LoadHitGi, stats)?;
@@ -733,10 +748,7 @@ impl L1Cache {
                     stats.energy_events.l1_reads += 1;
                     self.cache.touch_at(w);
                     let v = self.cache.line_at(w).data.read_word(offset, size);
-                    {
-                        out.push(L1Out::Reply { value: v });
-                        Ok(())
-                    }
+                    Ok(Some(v))
                 }
                 L1State::I => {
                     // Coherence (or capacity-invalidated) load miss.
@@ -744,10 +756,8 @@ impl L1Cache {
                     stats.l1_load_misses += 1;
                     Self::charge_tag_probe(stats);
                     self.cache.line_at_mut(w).meta.state = L1State::IsD;
-                    {
-                        self.start_txn(req, block, Payload::Gets, out);
-                        Ok(())
-                    }
+                    self.start_txn(req, block, Payload::Gets, out);
+                    Ok(None)
                 }
                 t => Err(self.error(
                     L1RowId::LoadTransient,
@@ -765,19 +775,13 @@ impl L1Cache {
                     L1State::M => {
                         self.row(L1RowId::StoreHitM, stats)?;
                         self.write_hit(w, offset, size, req.value, stats);
-                        {
-                            out.push(L1Out::Reply { value: 0 });
-                            Ok(())
-                        }
+                        Ok(Some(0))
                     }
                     L1State::E => {
                         self.row(L1RowId::StoreHitE, stats)?;
                         self.write_hit(w, offset, size, req.value, stats);
                         self.cache.line_at_mut(w).meta.state = L1State::M;
-                        {
-                            out.push(L1Out::Reply { value: 0 });
-                            Ok(())
-                        }
+                        Ok(Some(0))
                     }
                     L1State::O | L1State::F => {
                         // Both are read-only shared states: publishing a
@@ -795,10 +799,8 @@ impl L1Cache {
                         stats.l1_store_misses += 1;
                         Self::charge_tag_probe(stats);
                         self.cache.line_at_mut(w).meta.state = L1State::SmA;
-                        {
-                            self.start_txn(req, block, Payload::Upgrade, out);
-                            Ok(())
-                        }
+                        self.start_txn(req, block, Payload::Upgrade, out);
+                        Ok(None)
                     }
                     L1State::Gi => {
                         // Fig. 3/Fig. 5: loads, conventional stores and
@@ -836,10 +838,7 @@ impl L1Cache {
                             stats.gi_store_hits += 1;
                             self.write_hit(w, offset, size, req.value, stats);
                             self.cache.line_at_mut(w).meta.hidden_writes += 1;
-                            {
-                                out.push(L1Out::Reply { value: 0 });
-                                Ok(())
-                            }
+                            Ok(Some(0))
                         } else {
                             self.row(L1RowId::GiBreak, stats)?;
                             stats.stores_on_invalid_tagged += 1;
@@ -847,10 +846,9 @@ impl L1Cache {
                             Self::charge_tag_probe(stats);
                             stats.gi_breaks += 1;
                             self.cache.line_at_mut(w).meta.state = L1State::ImAd;
-                            {
-                                self.start_txn(req, block, Payload::Getx, out);
-                                Ok(())
-                            }
+                            self.gi_lines -= 1;
+                            self.start_txn(req, block, Payload::Getx, out);
+                            Ok(None)
                         }
                     }
                     L1State::S => {
@@ -869,10 +867,7 @@ impl L1Cache {
                             let meta = &mut self.cache.line_at_mut(w).meta;
                             meta.state = L1State::Gs;
                             meta.hidden_writes += 1;
-                            {
-                                out.push(L1Out::Reply { value: 0 });
-                                Ok(())
-                            }
+                            Ok(Some(0))
                         } else {
                             // Conventional path: UPGRADE.
                             self.row(L1RowId::UpgradeFromS, stats)?;
@@ -880,10 +875,8 @@ impl L1Cache {
                             stats.l1_store_misses += 1;
                             Self::charge_tag_probe(stats);
                             self.cache.line_at_mut(w).meta.state = L1State::SmA;
-                            {
-                                self.start_txn(req, block, Payload::Upgrade, out);
-                                Ok(())
-                            }
+                            self.start_txn(req, block, Payload::Upgrade, out);
+                            Ok(None)
                         }
                     }
                     L1State::Gs => {
@@ -896,10 +889,7 @@ impl L1Cache {
                             stats.gs_hits += 1;
                             self.write_hit(w, offset, size, req.value, stats);
                             self.cache.line_at_mut(w).meta.hidden_writes += 1;
-                            {
-                                out.push(L1Out::Reply { value: 0 });
-                                Ok(())
-                            }
+                            Ok(Some(0))
                         } else {
                             // Conventional store from GS publishes the
                             // locally modified block via UPGRADE (Fig. 3:
@@ -909,10 +899,8 @@ impl L1Cache {
                             stats.l1_store_misses += 1;
                             Self::charge_tag_probe(stats);
                             self.cache.line_at_mut(w).meta.state = L1State::SmA;
-                            {
-                                self.start_txn(req, block, Payload::Upgrade, out);
-                                Ok(())
-                            }
+                            self.start_txn(req, block, Payload::Upgrade, out);
+                            Ok(None)
                         }
                     }
                     L1State::I => {
@@ -931,20 +919,16 @@ impl L1Cache {
                             let meta = &mut self.cache.line_at_mut(w).meta;
                             meta.state = L1State::Gi;
                             meta.hidden_writes += 1;
-                            {
-                                out.push(L1Out::Reply { value: 0 });
-                                Ok(())
-                            }
+                            self.gi_lines += 1;
+                            Ok(Some(0))
                         } else {
                             self.row(L1RowId::StoreInvalid, stats)?;
                             stats.stores_on_invalid_tagged += 1;
                             stats.l1_store_misses += 1;
                             Self::charge_tag_probe(stats);
                             self.cache.line_at_mut(w).meta.state = L1State::ImAd;
-                            {
-                                self.start_txn(req, block, Payload::Getx, out);
-                                Ok(())
-                            }
+                            self.start_txn(req, block, Payload::Getx, out);
+                            Ok(None)
                         }
                     }
                     t => Err(self.error(
@@ -1048,7 +1032,10 @@ impl L1Cache {
                 out.push(L1Out::Send(self.msg(victim, Payload::PutS)));
             }
             L1State::Gi => {
-                // Untracked: drop silently, updates forfeited.
+                // Untracked: drop silently, updates forfeited. The line
+                // is already out of the array, so it leaves the count
+                // whether or not the row fires.
+                self.gi_lines -= 1;
                 self.row(L1RowId::EvictGi, stats)?;
                 stats.approx_evictions += 1;
             }
@@ -1524,6 +1511,9 @@ impl L1Cache {
             let line = self.cache.get_mut(block).unwrap();
             line.meta.state = L1State::I;
             line.meta.hidden_writes = 0;
+            if state == L1State::Gi {
+                self.gi_lines -= 1;
+            }
             stats.approx_evictions += 1;
             if state == L1State::Gs {
                 out.push(L1Out::Send(self.msg(block, Payload::PutS)));
@@ -1535,18 +1525,40 @@ impl L1Cache {
     /// The periodic GI timeout (paper §3.2): returns every `GI` block to
     /// `I`, forfeiting its hidden updates. Runs once per `gi_timeout`
     /// cycles per controller.
+    ///
+    /// The `GI`-line count makes an L1 with no `GI` line (most ticks)
+    /// return at once; otherwise the lines are rewritten in place and the
+    /// scan stops at the last `GI` line.
     pub fn gi_timeout_sweep(&mut self, stats: &mut Stats) -> Result<(), ProtocolError> {
-        let gi_blocks: Vec<BlockAddr> = self
-            .cache
-            .iter()
-            .filter(|l| l.meta.state == L1State::Gi)
-            .map(|l| l.block)
-            .collect();
-        for block in gi_blocks {
-            self.row(L1RowId::GiTimeout, stats)?;
-            self.cache.get_mut(block).unwrap().meta.state = L1State::I;
-            stats.gi_timeouts += 1;
+        debug_assert_eq!(
+            self.gi_lines,
+            self.cache
+                .iter()
+                .filter(|l| l.meta.state == L1State::Gi)
+                .count(),
+            "core {}: GI-line count out of step with the cache",
+            self.core
+        );
+        let n = self.gi_lines;
+        if n == 0 {
+            return Ok(());
         }
+        // One dispatch stands for all `n` firings of the row: a deleted
+        // row fails on the first, exactly as per-line dispatch did.
+        self.row(L1RowId::GiTimeout, stats)?;
+        stats.coverage.l1[L1RowId::GiTimeout as usize] += n as u64 - 1;
+        stats.gi_timeouts += n as u64;
+        let mut left = n;
+        for line in self.cache.iter_mut() {
+            if line.meta.state == L1State::Gi {
+                line.meta.state = L1State::I;
+                left -= 1;
+                if left == 0 {
+                    break;
+                }
+            }
+        }
+        self.gi_lines = 0;
         Ok(())
     }
 

@@ -2,7 +2,9 @@
 //!
 //! Workloads address the simulated memory in raw bytes; these small
 //! wrappers add element indexing, bounds checks and the right
-//! load/store/scribble width, so kernels read like array code:
+//! load/store/scribble width, so kernels read like array code. Each
+//! element access returns the same flat [`OpFuture`] the `ThreadCtx`
+//! accessor does, so a view adds no generator frame of its own:
 //!
 //! ```
 //! use ghostwriter_core::layout::ArrayI32;
@@ -26,7 +28,7 @@
 
 use ghostwriter_mem::Addr;
 
-use crate::ctx::ThreadCtx;
+use crate::ctx::{OpFuture, ThreadCtx};
 use crate::machine::Machine;
 
 macro_rules! array_view {
@@ -72,19 +74,23 @@ macro_rules! array_view {
                 self.base.add(($size * i) as u64)
             }
 
-            /// Loads element `i` through the simulated hierarchy.
-            pub async fn load(&self, ctx: &ThreadCtx, i: usize) -> $ty {
-                ctx.$load(self.addr(i)).await
+            /// Loads element `i` through the simulated hierarchy. The
+            /// bounds check runs here, when the operation is built.
+            #[inline]
+            pub fn load<'c>(&self, ctx: &'c ThreadCtx, i: usize) -> OpFuture<'c, $ty> {
+                ctx.$load(self.addr(i))
             }
 
             /// Conventional store to element `i`.
-            pub async fn store(&self, ctx: &ThreadCtx, i: usize, v: $ty) {
-                ctx.$store(self.addr(i), v).await;
+            #[inline]
+            pub fn store<'c>(&self, ctx: &'c ThreadCtx, i: usize, v: $ty) -> OpFuture<'c, ()> {
+                ctx.$store(self.addr(i), v)
             }
 
             /// Approximate store to element `i`.
-            pub async fn scribble(&self, ctx: &ThreadCtx, i: usize, v: $ty) {
-                ctx.$scribble(self.addr(i), v).await;
+            #[inline]
+            pub fn scribble<'c>(&self, ctx: &'c ThreadCtx, i: usize, v: $ty) -> OpFuture<'c, ()> {
+                ctx.$scribble(self.addr(i), v)
             }
         }
     };

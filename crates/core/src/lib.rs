@@ -70,7 +70,7 @@ pub mod stats_io;
 pub mod tester;
 
 pub use config::{BaseProtocol, ConfigError, GiStorePolicy, MachineConfig, Protocol};
-pub use ctx::ThreadCtx;
+pub use ctx::{OpFuture, ThreadCtx};
 pub use fault::{FaultConfig, RecoveryParams};
 pub use harness::{node_key, Op, System, SystemConfig, Violation};
 pub use json::{Json, JsonError};

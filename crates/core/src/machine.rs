@@ -973,7 +973,7 @@ impl Engine {
         // order without a heap query per event. The clock advance into
         // each batch is charged to the batch's first event when the
         // profiler is on.
-        let mut batch: Vec<Ev> = Vec::new();
+        let mut batch: VecDeque<Ev> = VecDeque::new();
         while self.n_finished < self.threads {
             // Fused reply→fetch fast path: when the deferred core
             // resume precedes everything queued, dispatch it inline —
@@ -1005,7 +1005,7 @@ impl Engine {
                 );
             };
             let mut delta = time - prev;
-            for ev in batch.drain(..) {
+            while let Some(ev) = batch.pop_front() {
                 self.dispatch(ev, delta)?;
                 delta = 0;
             }
@@ -1024,7 +1024,7 @@ impl Engine {
                 break;
             };
             let mut delta = time - prev;
-            for ev in batch.drain(..) {
+            while let Some(ev) = batch.pop_front() {
                 if let Ev::Fetch { core } = ev {
                     panic!(
                         "{}",
@@ -1218,12 +1218,22 @@ impl Engine {
                     value,
                     kind,
                 };
-                let mut outs = std::mem::take(&mut self.l1_scratch);
-                self.l1s[core]
-                    .access_into(req, &mut self.core_stats[core], &mut outs)
+                let hit = self.l1s[core]
+                    .access_into(req, &mut self.core_stats[core], &mut self.l1_scratch)
                     .map_err(|e| self.abort(e))?;
-                self.apply_l1_outs(core, &mut outs);
-                self.l1_scratch = outs;
+                match hit {
+                    // A hit answers in place: the reply never enters the
+                    // outbox, and `l1_scratch` stays untouched and empty.
+                    Some(value) => {
+                        self.pending_reply[core] = Some(value);
+                        self.defer_fetch(self.cfg.l1_latency, core);
+                    }
+                    None => {
+                        let mut outs = std::mem::take(&mut self.l1_scratch);
+                        self.apply_l1_outs(core, &mut outs);
+                        self.l1_scratch = outs;
+                    }
+                }
             }
             ThreadOp::Work(cycles) => {
                 self.stats.work_cycles += cycles;

@@ -20,6 +20,11 @@
 //! the text the checksum was taken over. Any mismatch — truncation, a
 //! flipped byte, a stale schema — makes the entry a *miss*, so corrupt
 //! files cause a re-run, never a wrong result.
+//!
+//! A miss says why: a payload the strict reader rejects although the
+//! checksum still verifies over it *as stored* is an intact file in an
+//! older record format ([`Miss::Stale`], e.g. written before a `Stats`
+//! counter existed); anything else is damage ([`Miss::Corrupt`]).
 
 use std::fs;
 use std::io::Write;
@@ -53,11 +58,16 @@ pub struct ResultCache {
 }
 
 /// Why a lookup did not produce a record (callers mostly only care that
-/// it didn't, but the sweep log reports corruption distinctly).
+/// it didn't, but the sweep log reports corruption and format upgrades
+/// distinctly).
 #[derive(Debug, PartialEq, Eq)]
 pub enum Miss {
     /// No file for this fingerprint.
     Absent,
+    /// File intact (its checksum verifies over the stored payload) but
+    /// in a record format the strict reader no longer accepts; it will
+    /// be re-run.
+    Stale(String),
     /// File present but unreadable/inconsistent; it will be re-run.
     Corrupt(String),
 }
@@ -86,32 +96,47 @@ impl ResultCache {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(Miss::Absent),
             Err(e) => return Err(Miss::Corrupt(format!("read {}: {e}", path.display()))),
         };
-        Self::decode(fp, &text).map_err(Miss::Corrupt)
+        Self::decode(fp, &text)
     }
 
-    fn decode<R: CacheRecord>(fp: Fingerprint, text: &str) -> Result<R, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+    fn decode<R: CacheRecord>(fp: Fingerprint, text: &str) -> Result<R, Miss> {
+        let corrupt = |e: &dyn std::fmt::Display| Miss::Corrupt(e.to_string());
+        let doc = Json::parse(text).map_err(|e| corrupt(&e))?;
         let stored_fp = doc
             .field("fingerprint")
             .and_then(|f| f.as_str().map(str::to_string))
-            .map_err(|e| e.to_string())?;
+            .map_err(|e| corrupt(&e))?;
         if stored_fp != fp.hex() {
-            return Err(format!("fingerprint mismatch: file says {stored_fp}"));
+            return Err(Miss::Corrupt(format!(
+                "fingerprint mismatch: file says {stored_fp}"
+            )));
         }
         let stored_sum = doc
             .field("checksum")
             .and_then(|f| f.as_str().map(str::to_string))
-            .map_err(|e| e.to_string())?;
-        let record = R::from_json(doc.field("record").map_err(|e| e.to_string())?)?;
+            .map_err(|e| corrupt(&e))?;
+        let payload = doc.field("record").map_err(|e| corrupt(&e))?;
+        let record = R::from_json(payload).map_err(|why| {
+            // The writer that stored this file checksummed its own
+            // canonical payload text, and the JSON writer is canonical,
+            // so an undamaged payload re-serializes to exactly that text
+            // whatever record format it is in.
+            let stored = format!("{:016x}", fnv64(payload.to_pretty().as_bytes()));
+            if stored == stored_sum {
+                Miss::Stale(why)
+            } else {
+                Miss::Corrupt(why)
+            }
+        })?;
         // The checksum was taken over the canonical payload text; the
         // canonical writer makes re-serialization reproduce it exactly,
         // so any in-file tampering (in the payload *or* the checksum)
         // surfaces here.
         let actual = format!("{:016x}", fnv64(record.canonical_text().as_bytes()));
         if actual != stored_sum {
-            return Err(format!(
+            return Err(Miss::Corrupt(format!(
                 "checksum mismatch: stored {stored_sum}, computed {actual}"
-            ));
+            )));
         }
         Ok(record)
     }

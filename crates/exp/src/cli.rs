@@ -165,13 +165,14 @@ fn run_experiments(experiments: Vec<Experiment>, opts: &Options) -> i32 {
 
     eprintln!(
         "gwbench: {} spec cells -> {} distinct ({} deduped); {} cache hits, \
-         {} executed ({} corrupt re-runs); {} sim cycles; {} ms",
+         {} executed ({} corrupt re-runs, {} older-format re-runs); {} sim cycles; {} ms",
         all_runs.len(),
         log.runs.len(),
         log.deduped,
         log.cache_hits,
         log.executed,
         log.corrupt,
+        log.stale,
         log.sim_cycles,
         log.wall_ms
     );

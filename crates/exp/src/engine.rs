@@ -46,6 +46,8 @@ pub struct RunLog {
     pub cache_hit: bool,
     /// A cache file existed but failed integrity checks (re-run).
     pub corrupt: bool,
+    /// A cache file existed, intact, in an older record format (re-run).
+    pub stale: bool,
     /// Wall-clock time spent on this cell (lookup or simulation), ms.
     pub wall_ms: u64,
     /// Simulated cycles of the (cached or fresh) result.
@@ -63,6 +65,9 @@ pub struct SweepLog {
     pub cache_hits: usize,
     /// Corrupt cache entries detected (subset of `executed`).
     pub corrupt: usize,
+    /// Cache entries in an older record format (subset of `executed`,
+    /// disjoint from `corrupt`).
+    pub stale: usize,
     /// Spec cells folded away by fingerprint dedup.
     pub deduped: usize,
     /// Total simulated cycles across distinct cells.
@@ -78,6 +83,7 @@ impl SweepLog {
         obj.push("executed", Json::U64(self.executed as u64));
         obj.push("cache_hits", Json::U64(self.cache_hits as u64));
         obj.push("corrupt", Json::U64(self.corrupt as u64));
+        obj.push("stale", Json::U64(self.stale as u64));
         obj.push("deduped", Json::U64(self.deduped as u64));
         obj.push("sim_cycles", Json::U64(self.sim_cycles));
         obj.push("wall_ms", Json::U64(self.wall_ms));
@@ -90,6 +96,7 @@ impl SweepLog {
                 o.push("fingerprint", Json::Str(r.fingerprint.clone()));
                 o.push("cache_hit", Json::Bool(r.cache_hit));
                 o.push("corrupt", Json::Bool(r.corrupt));
+                o.push("stale", Json::Bool(r.stale));
                 o.push("wall_ms", Json::U64(r.wall_ms));
                 o.push("cycles", Json::U64(r.cycles));
                 o
@@ -132,32 +139,37 @@ impl Engine {
 
         let outcomes = map_parallel(self.jobs, distinct, |_, (spec, fp)| {
             let cell_t0 = Instant::now();
-            let (record, hit, corrupt) = if self.use_cache {
+            let (record, hit, miss) = if self.use_cache {
                 match self.cache.load(fp) {
-                    Ok(rec) => (rec, true, false),
+                    Ok(rec) => (rec, true, None),
                     Err(miss) => {
-                        let corrupt = matches!(miss, Miss::Corrupt(_));
-                        if let Miss::Corrupt(why) = &miss {
-                            eprintln!(
+                        match &miss {
+                            Miss::Absent => {}
+                            Miss::Stale(why) => eprintln!(
+                                "gwbench: discarding cache entry in an older record format {}: {why}",
+                                fp.hex()
+                            ),
+                            Miss::Corrupt(why) => eprintln!(
                                 "gwbench: discarding corrupt cache entry {}: {why}",
                                 fp.hex()
-                            );
+                            ),
                         }
                         let rec = execute_spec(spec);
                         if let Err(e) = self.cache.store(fp, &spec.cache_key(), &rec) {
                             eprintln!("gwbench: cache store failed for {}: {e}", fp.hex());
                         }
-                        (rec, false, corrupt)
+                        (rec, false, Some(miss))
                     }
                 }
             } else {
-                (execute_spec(spec), false, false)
+                (execute_spec(spec), false, None)
             };
             let log = RunLog {
                 id: spec.id.clone(),
                 fingerprint: fp.hex(),
                 cache_hit: hit,
-                corrupt,
+                corrupt: matches!(miss, Some(Miss::Corrupt(_))),
+                stale: matches!(miss, Some(Miss::Stale(_))),
                 wall_ms: cell_t0.elapsed().as_millis() as u64,
                 cycles: record.cycles,
             };
@@ -175,9 +187,8 @@ impl Engine {
             } else {
                 log.executed += 1;
             }
-            if run_log.corrupt {
-                log.corrupt += 1;
-            }
+            log.corrupt += usize::from(run_log.corrupt);
+            log.stale += usize::from(run_log.stale);
             log.sim_cycles += record.cycles;
             log.runs.push(run_log);
             records_by_slot.push(record);

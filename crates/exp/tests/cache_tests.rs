@@ -196,6 +196,10 @@ fn clean_empties_the_cache() {
     assert!(engine.cache.is_empty());
 }
 
+/// A cache file the protocol ladder's histogram/moesi smoke cell wrote
+/// before `wb_elisions` was serialised.
+const STALE_LADDER_RECORD: &str = include_str!("fixtures/stale_ladder_record.json");
+
 #[test]
 fn records_missing_a_counter_are_misses() {
     // A cache file as written before `wb_elisions`, `clean_forwards` and
@@ -203,27 +207,51 @@ fn records_missing_a_counter_are_misses() {
     // histogram/moesi smoke cell, whose record carries no `wb_elisions`
     // at all. Its cache key is unchanged, so the lookup finds the file;
     // the strict reader must make it a miss, never a record with the
-    // missing counters zeroed.
+    // missing counters zeroed. The file is intact (its checksum verifies
+    // over its own payload), so the miss is a format upgrade, not
+    // corruption.
     let spec = find_experiment("protocol_ladder")
         .unwrap()
         .spec(Scale::Smoke);
     let cell = &spec.runs[spec.index_of("histogram/moesi")];
     let cache = scratch("stale");
     fs::create_dir_all(cache.dir()).unwrap();
-    fs::write(
-        cache.path_of(cell.fingerprint()),
-        include_str!("fixtures/stale_ladder_record.json"),
-    )
-    .unwrap();
+    fs::write(cache.path_of(cell.fingerprint()), STALE_LADDER_RECORD).unwrap();
     match cache.load::<RunRecord>(cell.fingerprint()) {
-        Err(Miss::Corrupt(why)) => assert!(why.contains("wb_elisions"), "{why}"),
-        other => panic!("a record missing counters must be a miss, got {other:?}"),
+        Err(Miss::Stale(why)) => assert!(why.contains("wb_elisions"), "{why}"),
+        other => panic!("a record missing counters must be a stale miss, got {other:?}"),
     }
 
-    // The engine re-runs the cell, and the fresh record has the
-    // elisions the stale one lost.
+    // The engine re-runs the cell, counts it apart from corruption, and
+    // the fresh record has the elisions the stale one lost.
     let engine = engine_with(cache, 1);
     let (records, log) = engine.run(std::slice::from_ref(cell));
-    assert_eq!((log.executed, log.corrupt), (1, 1));
+    assert_eq!((log.executed, log.stale, log.corrupt), (1, 1, 0));
     assert!(records[0].stats.wb_elisions > 0);
+}
+
+#[test]
+fn damaged_old_format_records_are_corrupt() {
+    // The same older-format file with one payload digit flipped: the
+    // strict reader still rejects it, but the checksum no longer
+    // verifies over the stored payload, so it is damage, not a format
+    // upgrade.
+    let spec = find_experiment("protocol_ladder")
+        .unwrap()
+        .spec(Scale::Smoke);
+    let cell = &spec.runs[spec.index_of("histogram/moesi")];
+    let needle = "\"cycles\": ";
+    let pos = STALE_LADDER_RECORD.find(needle).unwrap() + needle.len();
+    let mut bytes = STALE_LADDER_RECORD.as_bytes().to_vec();
+    bytes[pos] = if bytes[pos] == b'9' { b'8' } else { b'9' };
+    let cache = scratch("stale_flipped");
+    fs::create_dir_all(cache.dir()).unwrap();
+    fs::write(cache.path_of(cell.fingerprint()), &bytes).unwrap();
+    match cache.load::<RunRecord>(cell.fingerprint()) {
+        Err(Miss::Corrupt(why)) => assert!(why.contains("wb_elisions"), "{why}"),
+        other => panic!("a damaged file must be a corrupt miss, got {other:?}"),
+    }
+    let engine = engine_with(cache, 1);
+    let (_, log) = engine.run(std::slice::from_ref(cell));
+    assert_eq!((log.executed, log.stale, log.corrupt), (1, 0, 1));
 }

@@ -21,7 +21,7 @@ pub mod queue;
 pub mod resume;
 
 pub use queue::EventQueue;
-pub use resume::{panic_message, FutureThread, OpCell, Step};
+pub use resume::{panic_message, CallFuture, FutureThread, OpCell, Step};
 
 /// Simulated time, measured in core clock cycles (1 GHz in the paper's
 /// configuration, so one cycle is one nanosecond).

@@ -8,6 +8,12 @@
 //! the heap stays empty; the dense buckets replace the pointer-chasing
 //! sift of a `BinaryHeap` on the busiest edge of the simulation kernel
 //! (one push + one pop per event).
+//!
+//! The simulation kernel drains one cycle at a time with
+//! [`EventQueue::pop_batch`], which hands the due bucket over by swapping
+//! it with the caller's empty batch: the events stay where they were
+//! pushed, and the buffers circulate between the wheel and the caller
+//! instead of being copied per event.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -236,16 +242,31 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops *every* event scheduled for the earliest pending cycle into
-    /// `out` (appending, FIFO order), advancing the clock to that cycle.
-    /// Returns the batch's cycle, or `None` if the queue is empty.
+    /// `out`, in FIFO order, advancing the clock to that cycle. Returns
+    /// the batch's cycle, or `None` if the queue is empty.
     ///
     /// Popping a whole cycle at once lets the simulation kernel deliver
     /// same-cycle messages back-to-back without interleaving queue
     /// queries: events pushed *while the batch is processed* are pushed
     /// later than anything in the batch, so handling the batch first is
     /// exactly the order a pop-at-a-time loop would produce.
+    ///
+    /// Zero-copy: the due wheel bucket is *swapped* with `out` — its
+    /// events never move, and `out`'s (drained) buffer becomes the
+    /// bucket's, so the allocations circulate between the caller and
+    /// the wheel. The cycle's rare heap entries were pushed before any
+    /// of its wheel entries (see the `heap` field docs), so they are
+    /// appended and rotated to the front.
+    ///
+    /// # Panics
+    /// Panics if `out` is not empty: the caller drains each batch before
+    /// asking for the next.
     #[inline]
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<Cycle> {
+    pub fn pop_batch(&mut self, out: &mut VecDeque<E>) -> Option<Cycle> {
+        assert!(
+            out.is_empty(),
+            "pop_batch into a batch still holding events"
+        );
         let wheel_t = self.next_wheel_time();
         let heap_t = self.heap.peek().map(|Reverse(e)| e.time);
         let time = match (wheel_t, heap_t) {
@@ -256,18 +277,19 @@ impl<E> EventQueue<E> {
         };
         debug_assert!(time >= self.now);
         self.now = time;
-        // Heap entries of this cycle were all pushed before any wheel
-        // entry of this cycle (see the `heap` field docs), so draining
-        // heap-then-bucket preserves push order.
-        while self.heap.peek().is_some_and(|Reverse(e)| e.time == time) {
-            let Reverse(e) = self.heap.pop().expect("peeked entry present");
-            out.push(e.event);
-        }
         if wheel_t == Some(time) {
             let slot = time as usize & (WHEEL_SLOTS - 1);
-            self.wheel_len -= self.wheel[slot].len();
-            out.extend(self.wheel[slot].drain(..));
+            std::mem::swap(&mut self.wheel[slot], out);
+            self.wheel_len -= out.len();
             self.occupied[slot / 64] &= !(1 << (slot % 64));
+        }
+        if heap_t == Some(time) {
+            let from_wheel = out.len();
+            while self.heap.peek().is_some_and(|Reverse(e)| e.time == time) {
+                let Reverse(e) = self.heap.pop().expect("peeked entry present");
+                out.push_back(e.event);
+            }
+            out.rotate_right(out.len() - from_wheel);
         }
         Some(time)
     }
@@ -406,13 +428,13 @@ mod tests {
         q.push(5, "a1");
         q.push(10, "c");
         q.push(5, "a2");
-        let mut batch = Vec::new();
+        let mut batch = VecDeque::new();
         assert_eq!(q.pop_batch(&mut batch), Some(5));
-        assert_eq!(batch, vec!["a1", "a2"]);
+        assert_eq!(batch, ["a1", "a2"]);
         assert_eq!(q.now(), 5);
         batch.clear();
         assert_eq!(q.pop_batch(&mut batch), Some(10));
-        assert_eq!(batch, vec!["b", "c"]);
+        assert_eq!(batch, ["b", "c"]);
         batch.clear();
         assert_eq!(q.pop_batch(&mut batch), None);
         assert!(batch.is_empty());
@@ -443,9 +465,9 @@ mod tests {
         for &(t, v) in &seed {
             q.push(t, v);
         }
-        let mut batch = Vec::new();
+        let mut batch = VecDeque::new();
         while let Some(t) = q.pop_batch(&mut batch) {
-            for v in batch.drain(..) {
+            while let Some(v) = batch.pop_front() {
                 batched.push((t, v));
                 if v < 12 {
                     let (nt, nv) = next(t, v);
@@ -511,9 +533,52 @@ mod tests {
         q.push(100, "advance");
         q.pop();
         q.push(300, "pushed-late");
-        let mut batch = Vec::new();
+        let mut batch = VecDeque::new();
         assert_eq!(q.pop_batch(&mut batch), Some(300));
-        assert_eq!(batch, vec!["pushed-early", "pushed-late"]);
+        assert_eq!(batch, ["pushed-early", "pushed-late"]);
+    }
+
+    #[test]
+    fn pop_batch_puts_every_heap_entry_before_the_bucket() {
+        // Several far pushes (heap) and several near pushes (wheel) for
+        // one cycle: the batch is exactly push order.
+        let mut q = EventQueue::new();
+        q.push(400, 0);
+        q.push(400, 1);
+        q.push(400, 2);
+        q.push(200, 99);
+        assert_eq!(q.pop(), Some((200, 99)));
+        q.push(400, 3);
+        q.push(400, 4);
+        let mut batch = VecDeque::new();
+        assert_eq!(q.pop_batch(&mut batch), Some(400));
+        assert_eq!(batch, [0, 1, 2, 3, 4]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_batch_hands_buffers_back_to_the_wheel() {
+        // The swap gives the caller the bucket's events and the bucket
+        // the caller's drained buffer: nothing is copied or freed.
+        let mut q = EventQueue::new();
+        let mut batch = VecDeque::with_capacity(64);
+        let cap = batch.capacity();
+        for i in 0..8 {
+            q.push(1, i);
+        }
+        assert_eq!(q.pop_batch(&mut batch), Some(1));
+        assert_eq!(batch, [0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(q.wheel[1].capacity(), cap);
+        assert!(q.wheel[1].is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "still holding events")]
+    fn pop_batch_into_a_full_batch_panics() {
+        let mut q = EventQueue::new();
+        q.push(1, 1);
+        let mut batch = VecDeque::from([0]);
+        q.pop_batch(&mut batch);
     }
 
     #[test]
@@ -553,6 +618,46 @@ mod prop_tests {
                 popped.push(p);
             }
             prop_assert_eq!(popped, oracle);
+        }
+
+        /// Draining by whole cycles with pushes made while each batch is
+        /// handled (delays spanning the heap) yields exactly the
+        /// pop-at-a-time sequence.
+        #[test]
+        fn batched_drain_matches_pop(
+            seed in proptest::collection::vec(0u64..600, 1..60),
+            delays in proptest::collection::vec(0u64..600, 0..120),
+        ) {
+            let drain = |batched: bool| {
+                let mut q = EventQueue::new();
+                for (i, &t) in seed.iter().enumerate() {
+                    q.push(t, i);
+                }
+                let mut next = delays.iter().copied();
+                let mut id = seed.len();
+                let mut out = Vec::new();
+                let mut on_pop = |q: &mut EventQueue<usize>, t: u64, v: usize| {
+                    out.push((t, v));
+                    if let Some(d) = next.next() {
+                        q.push(t + d, id);
+                        id += 1;
+                    }
+                };
+                if batched {
+                    let mut batch = VecDeque::new();
+                    while let Some(t) = q.pop_batch(&mut batch) {
+                        while let Some(v) = batch.pop_front() {
+                            on_pop(&mut q, t, v);
+                        }
+                    }
+                } else {
+                    while let Some((t, v)) = q.pop() {
+                        on_pop(&mut q, t, v);
+                    }
+                }
+                out
+            };
+            prop_assert_eq!(drain(true), drain(false));
         }
 
         /// Interleaved push/pop never violates the clock monotonicity.

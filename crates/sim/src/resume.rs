@@ -12,6 +12,15 @@
 //!   write straight-line code (`ctx.load_u32(a).await`); the compiler
 //!   builds the state machine, and [`OpCell`] smuggles each operation
 //!   out of the suspended future and each reply back in.
+//! * [`CallFuture`] — the one await point: [`OpCell::call`] returns a
+//!   small future that *borrows* the cell (no reference count touched
+//!   per operation). Typed primitives built on it should wrap this
+//!   future with a plain conversion function rather than nest an
+//!   `async fn` of their own around it: each nested `async` layer is
+//!   another generator frame that every resume descends through, and
+//!   on a private L1 hit that descent costs more than the simulated
+//!   access itself. `ghostwriter_core`'s `ThreadCtx` accessors are one
+//!   flat future each for this reason.
 //!
 //! Determinism is structural rather than protocol-based: there is only
 //! one thread, so there is no interleaving to get right. The engine
@@ -63,9 +72,15 @@ impl<Op, Reply> OpCell<Op, Reply> {
 
     /// Issues `op` to the engine and suspends until it replies. This is
     /// the single await point every workload primitive is built from.
-    pub fn call(self: &Rc<Self>, op: Op) -> CallFuture<Op, Reply> {
+    ///
+    /// The future borrows the cell rather than owning an `Rc` of it: the
+    /// workload body already holds the cell for its whole life, so a
+    /// per-operation reference-count increment and decrement would be
+    /// pure overhead on the busiest edge of the simulator.
+    #[inline]
+    pub fn call(&self, op: Op) -> CallFuture<'_, Op, Reply> {
         CallFuture {
-            cell: Rc::clone(self),
+            cell: self,
             op: Some(op),
         }
     }
@@ -74,17 +89,19 @@ impl<Op, Reply> OpCell<Op, Reply> {
 /// Future returned by [`OpCell::call`]: first poll parks the operation
 /// in the cell and suspends; the next poll (after the engine stored a
 /// reply) completes with it.
-pub struct CallFuture<Op, Reply> {
-    cell: Rc<OpCell<Op, Reply>>,
+#[must_use = "an engine call does nothing unless awaited"]
+pub struct CallFuture<'a, Op, Reply> {
+    cell: &'a OpCell<Op, Reply>,
     op: Option<Op>,
 }
 
 // No self-referential fields: the future is trivially movable.
-impl<Op, Reply> Unpin for CallFuture<Op, Reply> {}
+impl<Op, Reply> Unpin for CallFuture<'_, Op, Reply> {}
 
-impl<Op, Reply> Future for CallFuture<Op, Reply> {
+impl<Op, Reply> Future for CallFuture<'_, Op, Reply> {
     type Output = Reply;
 
+    #[inline]
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Reply> {
         let this = self.get_mut();
         if let Some(op) = this.op.take() {
