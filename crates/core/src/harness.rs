@@ -23,7 +23,7 @@
 
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use ghostwriter_mem::{Addr, BlockAddr, Dram};
 
@@ -312,12 +312,19 @@ pub fn node_key(ep: Endpoint, cores: usize) -> usize {
 
 /// The harness system: real controllers, DRAM, the virtual network and
 /// the value-oracle bookkeeping. `Clone` snapshots everything — the
-/// model checker forks a `System` at every branching point.
+/// model checker forks a `System` at every branching point — and
+/// shares the controllers with the source until one side changes them.
 #[derive(Clone)]
 pub struct System {
     cfg: SystemConfig,
-    l1s: Vec<L1Cache>,
-    banks: Vec<DirBank>,
+    /// The controllers, copy-on-write: a clone shares every L1 and bank
+    /// with its source, and each mutating step goes through
+    /// `Arc::make_mut`, which copies the one controller it changes if a
+    /// fork still shares it. An action changes at most one controller,
+    /// so a checker fork copies one of `2 * cores` instead of all.
+    /// Readers deref as if the controllers were owned.
+    l1s: Vec<Arc<L1Cache>>,
+    banks: Vec<Arc<DirBank>>,
     dram: Dram,
     stats: Stats,
     /// Virtual network: every in-flight message in one flat list of
@@ -391,8 +398,8 @@ impl System {
             }
         }
         Self {
-            l1s,
-            banks,
+            l1s: l1s.into_iter().map(Arc::new).collect(),
+            banks: banks.into_iter().map(Arc::new).collect(),
             dram: Dram::new(),
             stats: Stats::default(),
             net: Vec::new(),
@@ -645,7 +652,7 @@ impl System {
     /// spent. Returns `Ok(false)` if the core has nothing to retry.
     pub fn retry(&mut self, core: usize) -> Result<bool, Violation> {
         let mut outs = Vec::new();
-        let fired = self.l1s[core]
+        let fired = Arc::make_mut(&mut self.l1s[core])
             .retry_pending_into(&mut self.stats, &mut outs)
             .map_err(Violation::Protocol)?;
         self.handle_l1_outs(core, outs)?;
@@ -742,7 +749,7 @@ impl System {
             value,
             kind,
         };
-        let outs = self.l1s[core]
+        let outs = Arc::make_mut(&mut self.l1s[core])
             .access(req, &mut self.stats)
             .map_err(Violation::Protocol)?;
         let replied = outs.iter().any(|o| matches!(o, L1Out::Reply { .. }));
@@ -811,13 +818,13 @@ impl System {
         }
         match msg.dst {
             Endpoint::L1(core) => {
-                let outs = self.l1s[core]
+                let outs = Arc::make_mut(&mut self.l1s[core])
                     .handle_msg(msg, &mut self.stats)
                     .map_err(Violation::Protocol)?;
                 self.handle_l1_outs(core, outs)?;
             }
             Endpoint::Dir(bank) => {
-                let outs = self.banks[bank]
+                let outs = Arc::make_mut(&mut self.banks[bank])
                     .handle_msg(msg, &mut self.stats)
                     .map_err(Violation::Protocol)?;
                 for m in outs {
@@ -845,7 +852,7 @@ impl System {
     /// Fires the periodic GI timeout on `core`: every GI line reverts to
     /// I, forfeiting hidden updates (paper §3.2).
     pub fn gi_timeout(&mut self, core: usize) -> Result<(), Violation> {
-        self.l1s[core]
+        Arc::make_mut(&mut self.l1s[core])
             .gi_timeout_sweep(&mut self.stats)
             .map_err(Violation::Protocol)
     }
@@ -853,7 +860,7 @@ impl System {
     /// Context-switch forfeit on `core` (paper §3.5): GS/GI lines revert
     /// to I; GS lines notify the directory with PutS.
     pub fn context_switch(&mut self, core: usize) -> Result<(), Violation> {
-        let outs = self.l1s[core]
+        let outs = Arc::make_mut(&mut self.l1s[core])
             .context_switch_forfeit(&mut self.stats)
             .map_err(Violation::Protocol)?;
         self.handle_l1_outs(core, outs)
@@ -1120,8 +1127,10 @@ impl System {
     /// controllers' unordered tables through `hash_in_block_order`.
     pub fn fingerprint(&self) -> u128 {
         let mut h = StateHasher::default();
-        self.l1s.iter().for_each(|l1| l1.hash(&mut h));
-        self.banks.iter().for_each(|b| b.hash(&mut h));
+        // The controllers themselves, not their sharing: the same bytes
+        // whether a fork shares or owns them.
+        self.l1s.iter().for_each(|l1| (**l1).hash(&mut h));
+        self.banks.iter().for_each(|b| (**b).hash(&mut h));
         // Hash each queued message's *logical* form, never its DataRef
         // slot index (and never the pool itself): slot assignment
         // depends on delivery history, and two states with identical

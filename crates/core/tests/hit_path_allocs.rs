@@ -7,43 +7,10 @@
 //! generator resume, the L1 access, the event queue or the reply) had
 //! started to allocate.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
 
+use counting_alloc::allocs;
 use ghostwriter_core::{Machine, MachineConfig, Protocol};
-
-struct Counting;
-
-thread_local! {
-    /// Allocations made by this thread (the test harness runs tests on
-    /// several threads; only the measuring thread's count matters).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counting only bumps a `const`-initialised
-// thread-local `Cell`, which neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: the slot is gone while the thread is shutting down.
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
 
 /// Builds a 2-core machine whose threads each load and store their own
 /// padded block `iters` times (every access after the first is an L1

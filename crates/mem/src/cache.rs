@@ -5,6 +5,11 @@
 //! array itself knows nothing about coherence; it only manages tags, data,
 //! and pseudo-LRU victims.
 
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering::Relaxed;
+
 use crate::addr::BlockAddr;
 use crate::block::BlockData;
 use crate::plru::TreePlru;
@@ -86,7 +91,11 @@ const EMPTY_TAG: BlockAddr = BlockAddr(u64::MAX);
 /// `Hash` covers the complete replacement-relevant state (tags, data,
 /// metadata, PLRU bits), so equal hashes mean equal future behaviour —
 /// the model checker's state canonicalisation relies on this.
-#[derive(Clone, Debug)]
+///
+/// The cache is `Sync`: the model checker shares one controller between
+/// a state and its forks (behind an `Arc`) across worker threads, so the
+/// lookup-only counters below are relaxed atomics, not `Cell`s.
+#[derive(Debug)]
 pub struct SetAssocCache<M> {
     sets: usize,
     ways: usize,
@@ -95,13 +104,17 @@ pub struct SetAssocCache<M> {
     tags: Vec<BlockAddr>,
     lines: Vec<Option<Line<M>>>,
     plru: Vec<TreePlru>,
-    /// One-entry probe memo `(block, way)`: legacy per-block entry points
-    /// (probe → get → touch → get_mut) may still look the same block up
-    /// several times per access, so remembering the last hit skips the
-    /// tag scan on all but the first. Caches hits only; invalidated by
-    /// [`Self::insert_at`] and [`Self::remove`]. Pure lookup state —
-    /// excluded from `Hash`.
-    probe_memo: std::cell::Cell<(BlockAddr, usize)>,
+    /// One-entry probe memo: the slot of the last hit or insertion.
+    /// Legacy per-block entry points (probe → get → touch → get_mut) may
+    /// still look the same block up several times per access, so
+    /// remembering the slot skips the tag scan on all but the first. The
+    /// memo answers for `block` only while `tags[slot] == block`, so an
+    /// insertion or removal that changes the slot's tag invalidates it
+    /// without touching it, and any stored value is a valid in-bounds
+    /// slot. A relaxed atomic, because a shared cache may be probed from
+    /// several threads at once; it is only a hint, re-checked against
+    /// `tags` on every use. Pure lookup state — excluded from `Hash`.
+    probe_memo: AtomicUsize,
     /// Residency generation: bumped by every insertion/removal so stale
     /// [`ProbedWay`] tokens are caught by debug assertions. Excluded from
     /// `Hash`.
@@ -112,7 +125,23 @@ pub struct SetAssocCache<M> {
     /// "exactly one physical lookup per access" tests rely on memo hits
     /// still counting as lookups. Excluded from `Hash`.
     #[cfg(debug_assertions)]
-    phys_lookups: std::cell::Cell<u64>,
+    phys_lookups: AtomicU64,
+}
+
+impl<M: Clone> Clone for SetAssocCache<M> {
+    fn clone(&self) -> Self {
+        Self {
+            sets: self.sets,
+            ways: self.ways,
+            tags: self.tags.clone(),
+            lines: self.lines.clone(),
+            plru: self.plru.clone(),
+            probe_memo: AtomicUsize::new(self.probe_memo.load(Relaxed)),
+            gen: self.gen,
+            #[cfg(debug_assertions)]
+            phys_lookups: AtomicU64::new(self.phys_lookups.load(Relaxed)),
+        }
+    }
 }
 
 impl<M: std::hash::Hash> std::hash::Hash for SetAssocCache<M> {
@@ -142,10 +171,10 @@ impl<M> SetAssocCache<M> {
             tags: vec![EMPTY_TAG; sets * ways],
             lines: (0..sets * ways).map(|_| None).collect(),
             plru: vec![TreePlru::new(); sets],
-            probe_memo: std::cell::Cell::new((EMPTY_TAG, 0)),
+            probe_memo: AtomicUsize::new(0),
             gen: 0,
             #[cfg(debug_assertions)]
-            phys_lookups: std::cell::Cell::new(0),
+            phys_lookups: AtomicU64::new(0),
         }
     }
 
@@ -189,33 +218,38 @@ impl<M> SetAssocCache<M> {
     }
 
     /// Bumps the test-only physical-lookup counter. Called once per
-    /// public lookup entry point, memo hits included.
+    /// public lookup entry point, memo hits included. A plain load and
+    /// store, not a locked add: the count is exact for the
+    /// single-owner caches the tests measure.
     #[inline]
     fn count_lookup(&self) {
         #[cfg(debug_assertions)]
-        self.phys_lookups.set(self.phys_lookups.get() + 1);
+        self.phys_lookups
+            .store(self.phys_lookups.load(Relaxed) + 1, Relaxed);
     }
 
     /// Physical tag lookups performed so far (tests only): every public
     /// lookup entry point counts one, memo hits included.
     #[cfg(debug_assertions)]
     pub fn phys_lookups(&self) -> u64 {
-        self.phys_lookups.get()
+        self.phys_lookups.load(Relaxed)
     }
 
     /// Uncounted probe core: memo check, then one linear scan of the
     /// packed tag array (does not touch PLRU).
     #[inline]
     fn probe_slot(&self, block: BlockAddr) -> Option<usize> {
-        let (memo_block, memo_way) = self.probe_memo.get();
-        if memo_block == block {
-            return Some(memo_way);
+        // A block only ever sits in its own set, so a memo slot holding
+        // `block` is in that set and its way is the slot's low bits.
+        let memo = self.probe_memo.load(Relaxed);
+        if self.tags[memo] == block {
+            return Some(memo & (self.ways - 1));
         }
         let base = self.set_of(block) * self.ways;
         let way = self.tags[base..base + self.ways]
             .iter()
             .position(|&t| t == block)?;
-        self.probe_memo.set((block, way));
+        self.probe_memo.store(base + way, Relaxed);
         Some(way)
     }
 
@@ -292,9 +326,6 @@ impl<M> SetAssocCache<M> {
             .take()
             .expect("ProbedWay token addresses a resident line");
         self.tags[slot] = EMPTY_TAG;
-        if self.probe_memo.get().0 == line.block {
-            self.probe_memo.set((EMPTY_TAG, 0));
-        }
         self.gen = self.gen.wrapping_add(1);
         line
     }
@@ -434,9 +465,7 @@ impl<M> SetAssocCache<M> {
         let slot = self.slot(set, way);
         let old = self.lines[slot].replace(Line { block, meta, data });
         self.tags[slot] = block;
-        // The displaced block (if any) no longer maps to this way; the
-        // inserted one does.
-        self.probe_memo.set((block, way));
+        self.probe_memo.store(slot, Relaxed);
         self.gen = self.gen.wrapping_add(1);
         self.plru[set].touch(self.ways, way);
         old

@@ -26,6 +26,10 @@ use crate::Cycle;
 const WHEEL_SLOTS: usize = 256;
 /// Occupancy-bitmap words covering the wheel.
 const WORDS: usize = WHEEL_SLOTS / 64;
+/// Capacity [`EventQueue::clear`] leaves a wheel bucket at most. Batches
+/// trade buffers with buckets, so without a cap every bucket of a
+/// recycled queue drifts to the largest same-cycle burst any run needed.
+const BUCKET_KEEP: usize = 16;
 
 /// An overflow-heap entry: ordered by `(time, seq)` so that two events
 /// scheduled for the same cycle pop in the order they were pushed. This
@@ -119,13 +123,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Resets the queue to its initial state (cycle 0, seq 0, no
-    /// events) while keeping every allocation — bucket buffers and the
-    /// heap — so a queue can be recycled across simulation runs without
-    /// re-growing.
+    /// events) while keeping the heap and up to `BUCKET_KEEP` (16)
+    /// events of each bucket's buffer, so a queue can be recycled across
+    /// simulation runs without re-growing, and one run's burst does not
+    /// stay allocated in the next.
     pub fn clear(&mut self) {
-        if self.wheel_len > 0 {
-            for bucket in self.wheel.iter_mut() {
-                bucket.clear();
+        for bucket in self.wheel.iter_mut() {
+            bucket.clear();
+            if bucket.capacity() > BUCKET_KEEP {
+                bucket.shrink_to(BUCKET_KEEP);
             }
         }
         self.occupied = [0; WORDS];
@@ -570,6 +576,30 @@ mod tests {
         assert_eq!(batch, [0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(q.wheel[1].capacity(), cap);
         assert!(q.wheel[1].is_empty());
+    }
+
+    #[test]
+    fn clear_shrinks_buckets_a_burst_grew() {
+        let mut q = EventQueue::new();
+        let mut batch = VecDeque::new();
+        // Same-cycle bursts: each drained batch's grown buffer goes back
+        // to a bucket on the next pop.
+        for t in 1..4 {
+            for i in 0..1000 {
+                q.push(t, i);
+            }
+            assert_eq!(q.pop_batch(&mut batch), Some(t));
+            batch.clear();
+        }
+        assert!(q.wheel.iter().any(|b| b.capacity() >= 1000));
+        q.clear();
+        for (slot, bucket) in q.wheel.iter().enumerate() {
+            assert!(
+                bucket.capacity() <= BUCKET_KEEP,
+                "bucket {slot} kept capacity {}",
+                bucket.capacity()
+            );
+        }
     }
 
     #[test]
