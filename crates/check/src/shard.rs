@@ -371,6 +371,14 @@ impl Space {
     /// both depend on this order being schedule-independent.
     fn enabled(&self, sys: &System, budgets: Budgets) -> Vec<Action> {
         let mut acts = Vec::new();
+        self.enabled_into(sys, budgets, &mut acts);
+        acts
+    }
+
+    /// [`Space::enabled`], appended to `acts`: the search keeps every
+    /// depth's actions on one stack, so once the stack has grown,
+    /// expanding a state allocates nothing.
+    fn enabled_into(&self, sys: &System, budgets: Budgets, acts: &mut Vec<Action>) {
         for (core, slots) in self.issue.iter().enumerate() {
             let left = budgets.get(core);
             if left > 0 && sys.core_idle(core) {
@@ -379,13 +387,21 @@ impl Space {
                 }
             }
         }
-        for (src, dst) in sys.channels() {
-            acts.push(Action::Deliver { src, dst });
-        }
+        let delivers = acts.len();
+        acts.extend(
+            sys.channel_keys()
+                .map(|(src, dst)| Action::Deliver { src, dst }),
+        );
         let cores = self.spec.cores;
         if self.spec.fault_budget > 0 {
             if budgets.get(cores) > 0 {
-                for (src, dst) in sys.channels() {
+                // The faults walk the channels the deliveries just
+                // listed, in the same order.
+                let end = acts.len();
+                for i in delivers..end {
+                    let Action::Deliver { src, dst } = acts[i] else {
+                        unreachable!("only deliveries follow `delivers`")
+                    };
                     if sys.head_faultable((src, dst)) {
                         acts.push(Action::Drop { src, dst });
                         acts.push(Action::Duplicate { src, dst });
@@ -411,7 +427,6 @@ impl Space {
                 }
             }
         }
-        acts
     }
 
     /// Applies `action` (which must be enabled), running the per-step
@@ -678,7 +693,15 @@ impl Space {
         visited.insert(state_key(&root, budgets));
         let mut path = prefix.to_vec();
         result.max_depth = path.len() as u64;
-        let failing = self.dfs(&mut root, budgets, &mut visited, &mut path, &mut result);
+        let mut actions = Vec::new();
+        let failing = self.dfs(
+            &mut root,
+            budgets,
+            &mut visited,
+            &mut path,
+            &mut actions,
+            &mut result,
+        );
         result.failure_trace = failing;
         result
     }
@@ -692,19 +715,27 @@ impl Space {
         budgets: Budgets,
         visited: &mut HashSet<StateKey>,
         path: &mut Vec<Action>,
+        actions: &mut Vec<Action>,
         result: &mut ShardResult,
     ) -> Option<Vec<Action>> {
         result.max_depth = result.max_depth.max(path.len() as u64);
-        let actions = self.enabled(sys, budgets);
-        if actions.is_empty() {
+        // This state's actions go on top of its ancestors' on the one
+        // stack, and come off it again before the search backs up (a
+        // failure ends the whole search, so its returns skip that).
+        let first = actions.len();
+        self.enabled_into(sys, budgets, actions);
+        let end = actions.len();
+        if first == end {
             return self.terminal_failure(sys, budgets).map(|_| path.clone());
         }
         if path.len() >= self.max_depth || result.states as usize >= self.max_states {
             result.truncated = true;
+            actions.truncate(first);
             return None;
         }
-        let last = actions.len() - 1;
-        for (i, action) in actions.into_iter().enumerate() {
+        let last = end - 1;
+        for i in first..end {
+            let action = actions[i];
             let mut fork;
             let next = if i == last {
                 &mut *sys
@@ -726,7 +757,9 @@ impl Space {
                 Ok(()) => {
                     if visited.insert(state_key(next, next_budgets)) {
                         result.states += 1;
-                        if let Some(trace) = self.dfs(next, next_budgets, visited, path, result) {
+                        if let Some(trace) =
+                            self.dfs(next, next_budgets, visited, path, actions, result)
+                        {
                             path.pop();
                             return Some(trace);
                         }
@@ -735,6 +768,7 @@ impl Space {
             }
             path.pop();
         }
+        actions.truncate(first);
         None
     }
 }

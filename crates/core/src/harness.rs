@@ -21,6 +21,7 @@
 //! [`Violation::Protocol`]; only caller-contract bugs still panic (and
 //! are caught by the checker separately).
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -294,6 +295,30 @@ pub(crate) fn trace_enabled() -> bool {
     *TRACE.get_or_init(|| std::env::var_os("GW_TESTER_TRACE").is_some())
 }
 
+thread_local! {
+    /// The harness step's reused buffers, one set per thread, so a step
+    /// allocates nothing once they have grown. They live here, not in
+    /// [`System`]: a checker frontier holds hundreds of systems, and a
+    /// buffer in each would add to its resident memory.
+    static L1_OUTBOX: Cell<Vec<L1Out>> = const { Cell::new(Vec::new()) };
+    static BANK_OUTBOX: Cell<Vec<Msg>> = const { Cell::new(Vec::new()) };
+    /// Per-block `[E/M, O, S/F]` copy counts for [`System::check_swmr`].
+    static SWMR_COUNTS: Cell<Vec<[u8; 3]>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on the thread's buffer in `slot`, then empties the buffer
+/// and puts it back for the next call.
+fn with_scratch<T: 'static, R>(
+    slot: &'static std::thread::LocalKey<Cell<Vec<T>>>,
+    f: impl FnOnce(&mut Vec<T>) -> R,
+) -> R {
+    let mut buf = slot.take();
+    let r = f(&mut buf);
+    buf.clear();
+    slot.set(buf);
+    r
+}
+
 #[derive(Clone, Debug, Hash)]
 struct PendingAccess {
     addr: Addr,
@@ -325,6 +350,12 @@ pub struct System {
     /// Readers deref as if the controllers were owned.
     l1s: Vec<Arc<L1Cache>>,
     banks: Vec<Arc<DirBank>>,
+    /// Bit `c` is set while L1 `c` has changed since the last
+    /// containment check: every `Arc::make_mut` of an L1 sets it, and
+    /// the check after an issue or a delivery scans only the flagged
+    /// L1s, then clears the mask. Bookkeeping, not architectural state:
+    /// [`System::fingerprint`] leaves it out.
+    changed_l1s: u64,
     dram: Dram,
     stats: Stats,
     /// Virtual network: every in-flight message in one flat list of
@@ -363,6 +394,7 @@ impl System {
     /// Builds a quiescent system of `cfg`'s shape.
     pub fn new(cfg: SystemConfig) -> Self {
         assert!(cfg.cores >= 1 && cfg.blocks >= 1);
+        assert!(cfg.cores <= 64, "core sets are 64-bit masks");
         let mut l1s: Vec<L1Cache> = (0..cfg.cores)
             .map(|c| {
                 L1Cache::new(
@@ -400,6 +432,7 @@ impl System {
         Self {
             l1s: l1s.into_iter().map(Arc::new).collect(),
             banks: banks.into_iter().map(Arc::new).collect(),
+            changed_l1s: 0,
             dram: Dram::new(),
             stats: Stats::default(),
             net: Vec::new(),
@@ -444,14 +477,18 @@ impl System {
         self.slot(0, b).block()
     }
 
+    /// Pool index of `block`, or `None` if `block` is not in the pool.
+    fn pool_slot(&self, block: BlockAddr) -> Option<usize> {
+        let b = block.0.wrapping_sub(self.block_of(0).0);
+        (b < self.cfg.blocks as u64).then_some(b as usize)
+    }
+
     /// Pool index of `block`.
     ///
     /// # Panics
     /// Panics if `block` is not in the pool.
     fn pool_index(&self, block: BlockAddr) -> usize {
-        let b = block.0.wrapping_sub(self.block_of(0).0);
-        assert!(b < self.cfg.blocks as u64, "block outside the pool");
-        b as usize
+        self.pool_slot(block).expect("block outside the pool")
     }
 
     /// Index of `(core, b)` in `next_seq`.
@@ -464,9 +501,9 @@ impl System {
         self.pending[core].is_none()
     }
 
-    /// Cores with no outstanding access.
-    pub fn idle_cores(&self) -> Vec<usize> {
-        (0..self.cfg.cores).filter(|&c| self.core_idle(c)).collect()
+    /// Cores with no outstanding access, in core order.
+    pub fn idle_cores(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.cfg.cores).filter(|&c| self.core_idle(c))
     }
 
     /// Cores blocked on an outstanding access.
@@ -510,16 +547,17 @@ impl System {
     /// Non-empty virtual-network channels, in row-major (src, dst)
     /// order.
     pub fn channels(&self) -> Vec<(usize, usize)> {
+        self.channel_keys().collect()
+    }
+
+    /// [`System::channels`] without the `Vec`: one walk over the
+    /// in-flight list, yielding each channel's run of messages once.
+    pub fn channel_keys(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let n = self.nodes() as u32;
-        let mut keys = Vec::new();
-        let mut last = None;
-        for &(c, _) in &self.net {
-            if last != Some(c) {
-                keys.push(((c / n) as usize, (c % n) as usize));
-                last = Some(c);
-            }
-        }
-        keys
+        self.net.chunk_by(|a, b| a.0 == b.0).map(move |run| {
+            let c = run[0].0;
+            ((c / n) as usize, (c % n) as usize)
+        })
     }
 
     /// The control record at the head of channel `key`, if any. Block
@@ -538,7 +576,7 @@ impl System {
     /// True when `core` holds at least one GI line (a GI-timeout sweep
     /// would change state).
     pub fn has_gi(&self, core: usize) -> bool {
-        self.l1s[core].resident().any(|(_, s)| s == L1State::Gi)
+        self.l1s[core].gi_line_count() > 0
     }
 
     /// Appends `msg` to the back of its (src, dst) channel.
@@ -651,16 +689,20 @@ impl System {
     /// tagged request, or surfaces `retry_exhausted` once the budget is
     /// spent. Returns `Ok(false)` if the core has nothing to retry.
     pub fn retry(&mut self, core: usize) -> Result<bool, Violation> {
-        let mut outs = Vec::new();
-        let fired = Arc::make_mut(&mut self.l1s[core])
-            .retry_pending_into(&mut self.stats, &mut outs)
-            .map_err(Violation::Protocol)?;
-        self.handle_l1_outs(core, outs)?;
-        Ok(fired)
+        with_scratch(&L1_OUTBOX, |outs| {
+            self.changed_l1s |= 1 << core;
+            let fired = Arc::make_mut(&mut self.l1s[core])
+                .retry_pending_into(&mut self.stats, outs)
+                .map_err(Violation::Protocol)?;
+            self.handle_l1_outs(core, outs)?;
+            Ok(fired)
+        })
     }
 
-    fn handle_l1_outs(&mut self, core: usize, outs: Vec<L1Out>) -> Result<(), Violation> {
-        for out in outs {
+    /// Sends L1 `core`'s queued messages and completes its access on a
+    /// reply, running the value oracles; empties `outs`.
+    fn handle_l1_outs(&mut self, core: usize, outs: &mut Vec<L1Out>) -> Result<(), Violation> {
+        for out in outs.drain(..) {
             match out {
                 L1Out::Send(m) => self.enqueue(m),
                 L1Out::Reply { value } => {
@@ -749,50 +791,56 @@ impl System {
             value,
             kind,
         };
-        let outs = Arc::make_mut(&mut self.l1s[core])
-            .access(req, &mut self.stats)
-            .map_err(Violation::Protocol)?;
-        let replied = outs.iter().any(|o| matches!(o, L1Out::Reply { .. }));
-        let post_state = self.l1s[core].state_of(block);
+        with_scratch(&L1_OUTBOX, |outs| {
+            self.changed_l1s |= 1 << core;
+            let hit = Arc::make_mut(&mut self.l1s[core])
+                .access_into(req, &mut self.stats, outs)
+                .map_err(Violation::Protocol)?;
+            let replied = hit.is_some();
+            if let Some(value) = hit {
+                outs.push(L1Out::Reply { value });
+            }
+            let post_state = self.l1s[core].state_of(block);
 
-        // A GI line may only service loads of approximate (scribbled)
-        // data; a precise load hitting on GI would silently read a value
-        // coherence never sanctioned.
-        if matches!(op, Op::Load { .. })
-            && replied
-            && pre_state == Some(L1State::Gi)
-            && block_precise
-        {
-            return Err(Violation::GiServicedPreciseLoad { core, block: b });
-        }
+            // A GI line may only service loads of approximate (scribbled)
+            // data; a precise load hitting on GI would silently read a
+            // value coherence never sanctioned.
+            if matches!(op, Op::Load { .. })
+                && replied
+                && pre_state == Some(L1State::Gi)
+                && block_precise
+            {
+                return Err(Violation::GiServicedPreciseLoad { core, block: b });
+            }
 
-        // Scribe comparator re-verification: a scribble serviced hidden
-        // (line left in GS/GI) must have passed the configured-distance
-        // comparison against the word it overwrote — except a failing
-        // scribble on an already-GI line under the Capture policy, which
-        // hits by design.
-        if let Op::Scribble { d } = op {
-            if replied && matches!(post_state, Some(L1State::Gs) | Some(L1State::Gi)) {
-                let gw = self.cfg.gw.expect("scribble without GW params");
-                let capture_hit =
-                    gw.gi_stores == GiStorePolicy::Capture && pre_state == Some(L1State::Gi);
-                if !capture_hit {
-                    let old = pre_word.expect("hidden service requires a resident tag");
-                    if !gw.scribe.within(old, value, 64, u32::from(d)) {
-                        return Err(Violation::ScribeBoundBypassed {
-                            core,
-                            block: b,
-                            old,
-                            new: value,
-                            d,
-                        });
+            // Scribe comparator re-verification: a scribble serviced
+            // hidden (line left in GS/GI) must have passed the
+            // configured-distance comparison against the word it
+            // overwrote — except a failing scribble on an already-GI
+            // line under the Capture policy, which hits by design.
+            if let Op::Scribble { d } = op {
+                if replied && matches!(post_state, Some(L1State::Gs) | Some(L1State::Gi)) {
+                    let gw = self.cfg.gw.expect("scribble without GW params");
+                    let capture_hit =
+                        gw.gi_stores == GiStorePolicy::Capture && pre_state == Some(L1State::Gi);
+                    if !capture_hit {
+                        let old = pre_word.expect("hidden service requires a resident tag");
+                        if !gw.scribe.within(old, value, 64, u32::from(d)) {
+                            return Err(Violation::ScribeBoundBypassed {
+                                core,
+                                block: b,
+                                old,
+                                new: value,
+                                d,
+                            });
+                        }
                     }
                 }
             }
-        }
 
-        self.handle_l1_outs(core, outs)?;
-        self.check_ghostwriter()
+            self.handle_l1_outs(core, outs)
+        })?;
+        self.check_changed_l1s()
     }
 
     /// Delivers the message at the head of channel `key` (FIFO within
@@ -817,20 +865,22 @@ impl System {
             );
         }
         match msg.dst {
-            Endpoint::L1(core) => {
-                let outs = Arc::make_mut(&mut self.l1s[core])
-                    .handle_msg(msg, &mut self.stats)
+            Endpoint::L1(core) => with_scratch(&L1_OUTBOX, |outs| {
+                self.changed_l1s |= 1 << core;
+                Arc::make_mut(&mut self.l1s[core])
+                    .handle_msg_into(msg, &mut self.stats, outs)
                     .map_err(Violation::Protocol)?;
-                self.handle_l1_outs(core, outs)?;
-            }
-            Endpoint::Dir(bank) => {
-                let outs = Arc::make_mut(&mut self.banks[bank])
-                    .handle_msg(msg, &mut self.stats)
+                self.handle_l1_outs(core, outs)
+            })?,
+            Endpoint::Dir(bank) => with_scratch(&BANK_OUTBOX, |outs| {
+                Arc::make_mut(&mut self.banks[bank])
+                    .handle_msg_into(msg, &mut self.stats, outs)
                     .map_err(Violation::Protocol)?;
-                for m in outs {
+                for m in outs.drain(..) {
                     self.enqueue(m);
                 }
-            }
+                Ok(())
+            })?,
             Endpoint::Mem(_) => match msg.payload {
                 Payload::MemRead => {
                     let data = self.dram.read_block(msg.block);
@@ -846,12 +896,13 @@ impl System {
                 ref p => panic!("memory controller got {}", p.name()),
             },
         }
-        self.check_ghostwriter()
+        self.check_changed_l1s()
     }
 
     /// Fires the periodic GI timeout on `core`: every GI line reverts to
     /// I, forfeiting hidden updates (paper §3.2).
     pub fn gi_timeout(&mut self, core: usize) -> Result<(), Violation> {
+        self.changed_l1s |= 1 << core;
         Arc::make_mut(&mut self.l1s[core])
             .gi_timeout_sweep(&mut self.stats)
             .map_err(Violation::Protocol)
@@ -860,10 +911,13 @@ impl System {
     /// Context-switch forfeit on `core` (paper §3.5): GS/GI lines revert
     /// to I; GS lines notify the directory with PutS.
     pub fn context_switch(&mut self, core: usize) -> Result<(), Violation> {
-        let outs = Arc::make_mut(&mut self.l1s[core])
-            .context_switch_forfeit(&mut self.stats)
-            .map_err(Violation::Protocol)?;
-        self.handle_l1_outs(core, outs)
+        with_scratch(&L1_OUTBOX, |outs| {
+            self.changed_l1s |= 1 << core;
+            Arc::make_mut(&mut self.l1s[core])
+                .context_switch_forfeit_into(&mut self.stats, outs)
+                .map_err(Violation::Protocol)?;
+            self.handle_l1_outs(core, outs)
+        })
     }
 
     /// SWMR: never two writable copies, never writable + readable
@@ -871,64 +925,100 @@ impl System {
     /// dirty owner: at most one may exist, and it excludes E/M copies,
     /// but it legitimately coexists with clean S readers. MESIF's F is a
     /// clean read-only copy and counts as a reader.
+    ///
+    /// One pass over each L1's resident lines counts the E/M, O and S/F
+    /// copies of every pool block; the blocks are then judged in index
+    /// order, a second writer before a writer with sharers.
     pub fn check_swmr(&self) -> Result<(), Violation> {
-        for b in 0..self.cfg.blocks {
-            let block = self.block_of(b);
-            let mut exclusive = 0;
-            let mut dirty_owned = 0;
-            let mut readable_elsewhere = 0;
+        with_scratch(&SWMR_COUNTS, |counts| {
+            counts.resize(self.cfg.blocks, [0; 3]);
             for l1 in &self.l1s {
-                match l1.state_of(block) {
-                    Some(L1State::M) | Some(L1State::E) => exclusive += 1,
-                    Some(L1State::O) => dirty_owned += 1,
-                    Some(L1State::S) | Some(L1State::F) => readable_elsewhere += 1,
-                    _ => {}
+                for (block, state) in l1.resident() {
+                    let class = match state {
+                        L1State::M | L1State::E => 0,
+                        L1State::O => 1,
+                        L1State::S | L1State::F => 2,
+                        _ => continue,
+                    };
+                    if let Some(b) = self.pool_slot(block) {
+                        counts[b][class] += 1;
+                    }
                 }
             }
-            if exclusive + dirty_owned > 1 {
-                return Err(Violation::MultipleWriters {
-                    block: b,
-                    writers: exclusive + dirty_owned,
-                });
-            }
-            if exclusive == 1 && readable_elsewhere > 0 {
-                return Err(Violation::WriterWithSharers {
-                    block: b,
-                    sharers: readable_elsewhere,
-                });
-            }
-        }
-        Ok(())
+            counts
+                .iter()
+                .enumerate()
+                .try_for_each(|(b, &[exclusive, owned, readable])| {
+                    let writers = usize::from(exclusive) + usize::from(owned);
+                    if writers > 1 {
+                        return Err(Violation::MultipleWriters { block: b, writers });
+                    }
+                    if exclusive == 1 && readable > 0 {
+                        return Err(Violation::WriterWithSharers {
+                            block: b,
+                            sharers: usize::from(readable),
+                        });
+                    }
+                    Ok(())
+                })
+        })
     }
 
     /// Ghostwriter containment invariants, valid at any instant:
     /// GS/GI lines exist only on blocks the program scribbled (never in
     /// a precise configuration), and hidden-write counts respect the
-    /// §3.5 error bound.
+    /// §3.5 error bound. A full scan of every L1; the steps check only
+    /// the L1s they changed (`check_changed_l1s`).
     pub fn check_ghostwriter(&self) -> Result<(), Violation> {
-        for (c, l1) in self.l1s.iter().enumerate() {
-            for (block, state) in l1.resident() {
-                let b = self.pool_index(block);
-                if matches!(state, L1State::Gs | L1State::Gi)
-                    && (self.cfg.gw.is_none() || !self.scribbled.contains(&b))
-                {
-                    return Err(Violation::ApproxLeak {
-                        core: c,
-                        block: b,
-                        state,
-                    });
-                }
-                if let Some(bound) = self.cfg.gw.and_then(|g| g.max_hidden_writes) {
-                    if matches!(state, L1State::Gs | L1State::Gi) {
-                        let count = l1.hidden_writes_of(block).unwrap_or(0);
-                        if count > bound {
-                            return Err(Violation::HiddenWritesOverBound {
-                                core: c,
-                                block: b,
-                                count,
-                                bound,
-                            });
-                        }
+        (0..self.cfg.cores).try_for_each(|c| self.check_l1_containment(c))
+    }
+
+    /// The containment check after an issue or a delivery:
+    /// [`System::check_ghostwriter`] over only the L1s flagged in
+    /// `changed_l1s`, in core order, clearing the mask if they pass.
+    /// It finds exactly the violation the full scan would: an unflagged
+    /// L1 passed an earlier check and has not changed since, and what
+    /// it was checked against cannot have moved — `scribbled` only
+    /// grows and the configuration is fixed.
+    fn check_changed_l1s(&mut self) -> Result<(), Violation> {
+        let result = (0..self.cfg.cores)
+            .filter(|&c| self.changed_l1s & (1 << c) != 0)
+            .try_for_each(|c| self.check_l1_containment(c));
+        if result.is_ok() {
+            self.changed_l1s = 0;
+        }
+        debug_assert_eq!(
+            result,
+            self.check_ghostwriter(),
+            "containment check of the changed L1s disagrees with the full scan"
+        );
+        result
+    }
+
+    /// The containment invariants on L1 `c`'s resident lines.
+    fn check_l1_containment(&self, c: usize) -> Result<(), Violation> {
+        let l1 = &self.l1s[c];
+        for (block, state) in l1.resident() {
+            let b = self.pool_index(block);
+            if matches!(state, L1State::Gs | L1State::Gi)
+                && (self.cfg.gw.is_none() || !self.scribbled.contains(&b))
+            {
+                return Err(Violation::ApproxLeak {
+                    core: c,
+                    block: b,
+                    state,
+                });
+            }
+            if let Some(bound) = self.cfg.gw.and_then(|g| g.max_hidden_writes) {
+                if matches!(state, L1State::Gs | L1State::Gi) {
+                    let count = l1.hidden_writes_of(block).unwrap_or(0);
+                    if count > bound {
+                        return Err(Violation::HiddenWritesOverBound {
+                            core: c,
+                            block: b,
+                            count,
+                            bound,
+                        });
                     }
                 }
             }
@@ -1589,7 +1679,7 @@ mod tests {
                         continue;
                     }
                 }
-                let idle = sys.idle_cores();
+                let idle: Vec<usize> = sys.idle_cores().collect();
                 if (r % 100 < 40 || chans.is_empty()) && !idle.is_empty() {
                     let core = idle[(r / 100) as usize % idle.len()];
                     let b = (r / 1000) as usize % 4;

@@ -442,6 +442,21 @@ impl L1Cache {
         self.cache.get(block).map(|l| l.meta.state)
     }
 
+    /// Resident lines in `GI`, from the count kept in step with every
+    /// transition; debug builds check it against a scan of the cache.
+    pub fn gi_line_count(&self) -> usize {
+        debug_assert_eq!(
+            self.gi_lines,
+            self.cache
+                .iter()
+                .filter(|l| l.meta.state == L1State::Gi)
+                .count(),
+            "core {}: GI-line count out of step with the cache",
+            self.core
+        );
+        self.gi_lines
+    }
+
     /// Hidden-write count of `block`, if resident (for the model
     /// checker's §3.5 error-bound invariant).
     pub fn hidden_writes_of(&self, block: BlockAddr) -> Option<u32> {
@@ -1530,16 +1545,7 @@ impl L1Cache {
     /// return at once; otherwise the lines are rewritten in place and the
     /// scan stops at the last `GI` line.
     pub fn gi_timeout_sweep(&mut self, stats: &mut Stats) -> Result<(), ProtocolError> {
-        debug_assert_eq!(
-            self.gi_lines,
-            self.cache
-                .iter()
-                .filter(|l| l.meta.state == L1State::Gi)
-                .count(),
-            "core {}: GI-line count out of step with the cache",
-            self.core
-        );
-        let n = self.gi_lines;
+        let n = self.gi_line_count();
         if n == 0 {
             return Ok(());
         }

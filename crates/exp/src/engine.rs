@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use ghostwriter_core::tester::{ProtocolTester, TesterConfig};
-use ghostwriter_core::{BaseProtocol, GiStorePolicy, Json};
+use ghostwriter_core::Json;
 use ghostwriter_workloads::execute;
 
 use crate::cache::{Miss, ResultCache};
@@ -247,25 +247,7 @@ pub fn execute_spec(spec: &RunSpec) -> RunRecord {
 fn run_fuzz(seeds: u64, accesses: usize) -> RunRecord {
     let mut total_msgs = 0u64;
     for seed in 0..seeds {
-        let cfg = TesterConfig {
-            cores: 2 + (seed % 7) as usize,
-            blocks: 8 + (seed % 29) as usize,
-            accesses,
-            l1_sets: 1 << (seed % 3),
-            l1_ways: 2,
-            l2_sets: 2 << (seed % 2),
-            l2_ways: 2,
-            scribble_prob: if seed % 3 == 0 { 0.4 } else { 0.0 },
-            gi_stores: if seed % 6 == 0 {
-                GiStorePolicy::Capture
-            } else {
-                GiStorePolicy::Fallback
-            },
-            gi_timeout_prob: if seed % 5 == 0 { 0.02 } else { 0.0 },
-            deliver_bias: 0.5 + (seed % 5) as f64 * 0.1,
-            base: BaseProtocol::ALL[(seed % 5) as usize],
-        };
-        let report = ProtocolTester::new(cfg, seed).run();
+        let report = ProtocolTester::new(TesterConfig::seeded(seed, accesses), seed).run();
         total_msgs += report.messages as u64;
     }
     RunRecord {
