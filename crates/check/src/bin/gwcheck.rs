@@ -1,18 +1,17 @@
 //! `gwcheck` — bounded exhaustive model checking of the coherence
 //! protocol from the command line.
 //!
-//! Sweeps run on the sharded parallel engine
-//! ([`ghostwriter_check::shard`]): the unified interleaving space is
-//! split at a frontier depth into independent subtree shards, executed
-//! on a work-stealing pool, cached content-addressed under
-//! `results/cache/check/`, and merged deterministically — the printed
-//! report (and its fingerprint) is byte-identical for any `--jobs`
-//! value and for cold vs warm caches. Exits 1 with a shrunk,
-//! replayable counterexample if anything is violated.
+//! Each sweep cell (one protocol) is one exact depth-first search over
+//! one visited set ([`ghostwriter_check::shard`]), cached whole and
+//! content-addressed under `results/cache/check/`; `--jobs` cells run
+//! at once. The printed report (and its fingerprint) is byte-identical
+//! for any `--jobs` value and for cold vs warm caches. Exits 1 with a
+//! shrunk, replayable counterexample if anything is violated, and 1 with
+//! a `TRUNCATED` verdict if a bound cut a search short.
 //!
 //! ```text
 //! gwcheck --cores 2 --blocks 1 --ops 2 --protocol mesi
-//! gwcheck --cores 3 --blocks 2 --jobs 8            # the deep sweep
+//! gwcheck --cores 3 --blocks 2 --ops 1 --jobs 8    # the deep sweep
 //! gwcheck --protocol gw --gi-timeouts
 //! gwcheck --protocol mesi --mutation skip-inv      # prove it catches bugs
 //! gwcheck --protocol gw --gi-timeouts \
@@ -26,7 +25,7 @@ use std::io::Write;
 
 use ghostwriter_check::trace::encode_action;
 use ghostwriter_check::{
-    decode_trace, run_sweep, shard::Space, Mutation, ProtocolKind, ShardOptions, SweepSpec,
+    decode_trace, run_sweeps, shard::Space, Mutation, ProtocolKind, ShardOptions, SweepSpec,
 };
 use ghostwriter_core::{Coverage, Json, Reach};
 
@@ -61,12 +60,11 @@ SWEEP OPTIONS:
                          checker-reachable table row went unexercised
 
 PARALLELISM / CACHING:
-    --jobs <N>           shard worker threads [default: available cores];
-                         reports are byte-identical for every value
-    --shard-depth <D>    frontier split depth [default: auto — deepen
-                         until >= 48 shard roots, cap 4]
-    --no-cache           bypass the shard cache (no lookups, no stores)
-    --expect-cached      exit 3 if any shard actually searched (CI
+    --jobs <N>           sweep cells (protocols) searched at once, one
+                         thread each [default: available cores]; reports
+                         are byte-identical for every value
+    --no-cache           bypass the sweep cache (no lookups, no stores)
+    --expect-cached      exit 3 if any cell actually searched (CI
                          warm-pass check)
     --report <FILE>      write the merged reports as canonical JSON
 
@@ -79,6 +77,8 @@ REPLAY:
 
     -h, --help           print this help
 
+Each cell prints a PASS, FAIL or TRUNCATED verdict (TRUNCATED: a depth
+or state bound cut the search short, so nothing is proven; exit 1).
 Every sweep ends with a transition-coverage summary and a report
 fingerprint; `--jobs 1` and `--jobs N` print identical fingerprints.
 ";
@@ -94,7 +94,6 @@ struct Args {
     fault_budget: usize,
     require_coverage: bool,
     jobs: usize,
-    shard_depth: Option<usize>,
     use_cache: bool,
     expect_cached: bool,
     report: Option<String>,
@@ -119,7 +118,6 @@ fn parse_args() -> Result<Args, String> {
         fault_budget: 0,
         require_coverage: false,
         jobs: default_jobs(),
-        shard_depth: None,
         use_cache: true,
         expect_cached: false,
         report: None,
@@ -169,13 +167,6 @@ fn parse_args() -> Result<Args, String> {
                 if args.jobs == 0 {
                     return Err("--jobs must be >= 1".into());
                 }
-            }
-            "--shard-depth" => {
-                args.shard_depth = Some(
-                    value("--shard-depth")?
-                        .parse()
-                        .map_err(|e| format!("--shard-depth: {e}"))?,
-                )
             }
             "--no-cache" => args.use_cache = false,
             "--expect-cached" => args.expect_cached = true,
@@ -280,16 +271,11 @@ fn main() {
 
     let opts = ShardOptions {
         jobs: args.jobs,
-        shard_depth: args.shard_depth,
         use_cache: args.use_cache,
         progress: true,
         ..Default::default()
     };
 
-    let mut failed = false;
-    let mut executed_shards = 0usize;
-    let mut coverage = Coverage::default();
-    let mut report_docs: Vec<Json> = Vec::new();
     // One (protocol, ops, gi-timeouts) sweep cell per requested protocol;
     // --require-coverage appends the supplementary gw ops=2 sweep with
     // timeout interleavings, since the GI-timeout row only fires in
@@ -310,52 +296,23 @@ fn main() {
     if args.require_coverage && !cells.contains(&(ProtocolKind::Ghostwriter, 2, true)) {
         cells.push((ProtocolKind::Ghostwriter, 2, true));
     }
-    for (kind, ops, gi) in cells {
-        let spec = spec_for(&args, kind, ops, gi);
-        let label = spec.label();
-        let (outcome, log) = run_sweep(&spec, &opts);
-        let secs = log.wall_ms as f64 / 1000.0;
-        executed_shards += log.executed;
+    let specs: Vec<SweepSpec> = cells
+        .into_iter()
+        .map(|(kind, ops, gi)| spec_for(&args, kind, ops, gi))
+        .collect();
+
+    let mut failed = false;
+    let mut searched = 0usize;
+    let mut coverage = Coverage::default();
+    let mut report_docs: Vec<Json> = Vec::new();
+    for (outcome, log) in run_sweeps(&specs, &opts) {
+        searched += !log.cached as usize;
         coverage.merge(&outcome.coverage);
-        match &outcome.counterexample {
-            None => {
-                println!(
-                    "PASS  {label}: {} shards (depth {}), {} states, {} transitions{} \
-                     in {secs:.2}s ({} cached, {} searched)",
-                    outcome.shards,
-                    outcome.shard_depth,
-                    outcome.states,
-                    outcome.transitions,
-                    if outcome.truncated {
-                        " (TRUNCATED — not exhaustive)"
-                    } else {
-                        ""
-                    },
-                    log.cache_hits,
-                    log.executed,
-                );
-                if outcome.truncated {
-                    failed = true;
-                }
-            }
-            Some(shrunk) => {
-                failed = true;
-                println!(
-                    "FAIL  {label}: violation ({} shards, {} states) in {secs:.2}s",
-                    outcome.shards, outcome.states
-                );
-                if let Some(raw) = &outcome.raw_counterexample {
-                    if raw.prefix_len > 0 {
-                        println!(
-                            "  found in shard {} (search trace {} steps):",
-                            ghostwriter_check::encode_trace(&raw.trace[..raw.prefix_len]),
-                            raw.trace.len(),
-                        );
-                    }
-                }
-                println!("  shrunk counterexample ({} steps):", shrunk.trace.len());
-                print!("{}", shrunk.describe(&spec));
-            }
+        println!("{}", outcome.verdict(&log));
+        failed |= outcome.truncated || outcome.counterexample.is_some();
+        if let Some(shrunk) = &outcome.counterexample {
+            println!("  shrunk counterexample ({} steps):", shrunk.trace.len());
+            print!("{}", shrunk.describe(&outcome.spec));
         }
         println!("fingerprint: {}", outcome.fingerprint().hex());
         report_docs.push(outcome.to_json());
@@ -385,8 +342,8 @@ fn main() {
             failed = true;
         }
     }
-    if args.expect_cached && executed_shards > 0 {
-        eprintln!("gwcheck: --expect-cached but {executed_shards} shard(s) searched");
+    if args.expect_cached && searched > 0 {
+        eprintln!("gwcheck: --expect-cached but {searched} sweep cell(s) searched");
         std::process::exit(3);
     }
     std::process::exit(if failed { 1 } else { 0 });

@@ -10,9 +10,10 @@
 //! there is no re-specification of the protocol that could drift from
 //! the implementation.
 //!
-//! The search is a depth-first enumeration with visited-set pruning on a
-//! canonical state fingerprint (L1 states + directory entries + in-flight
-//! message channels + oracle bookkeeping; see [`System::fingerprint`]).
+//! The search is one depth-first enumeration with visited-set pruning on
+//! a canonical state fingerprint (L1 states + directory entries +
+//! in-flight message channels + oracle bookkeeping; see
+//! [`System::fingerprint`]), hash-compacted to 64 bits ([`visited`]).
 //! Every transition re-checks the any-time invariants (SWMR, Ghostwriter
 //! containment, the value oracle, the scribe error bound); every
 //! terminal state is either quiescent — and then checked against the
@@ -36,8 +37,9 @@ use ghostwriter_core::{BaseProtocol, Coverage, GiStorePolicy, RecoveryParams, Sc
 
 pub mod shard;
 pub mod trace;
+pub mod visited;
 
-pub use shard::{run_sweep, ShardLog, ShardOptions, Space, SweepOutcome, SweepSpec};
+pub use shard::{run_sweep, run_sweeps, ShardOptions, Space, SweepLog, SweepOutcome, SweepSpec};
 pub use trace::{decode_trace, encode_trace};
 
 /// One step of a core's access program: an operation against a pool
@@ -179,8 +181,8 @@ impl std::fmt::Display for Mutation {
 /// Remaining per-core issue budgets, plus the fault budget left in
 /// bounded-fault mode, packed 4 bits per slot (slot `i` in bits
 /// `4i..4i + 4`, so at most 16 slots of at most 15 each). A `Copy`
-/// value: a search forks it for free, and it keys the visited set as
-/// it is, next to the system fingerprint.
+/// value: a search forks it for free, and it is folded into the
+/// visited-set key next to the system fingerprint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Budgets(u64);
 
@@ -217,7 +219,7 @@ impl Budgets {
         (0..n).all(|i| self.get(i) == 0)
     }
 
-    /// The packed bits (the visited-set key's second half).
+    /// The packed bits (folded into the visited-set key).
     pub(crate) fn bits(self) -> u64 {
         self.0
     }
@@ -285,58 +287,18 @@ impl std::fmt::Display for Failure {
 pub struct Counterexample {
     pub trace: Vec<Action>,
     pub failure: Failure,
-    /// How many leading actions of `trace` are the shard prefix the
-    /// sharded sweep split the search at (0 for unsharded searches and
-    /// after shrinking, which erases the shard structure).
-    pub prefix_len: usize,
 }
 
 impl Counterexample {
-    pub fn new(trace: Vec<Action>, failure: Failure) -> Self {
-        Self {
-            trace,
-            failure,
-            prefix_len: 0,
-        }
-    }
-
-    /// Pretty multi-line rendering for CLI / panic messages. Actions
-    /// inside the shard prefix are marked, so a trace that came out of
-    /// the sharded sweep shows where frontier splitting ended and the
-    /// shard-local search began.
+    /// Pretty multi-line rendering for CLI / panic messages.
     pub fn render(&self, cores: usize) -> String {
         let mut s = String::new();
         for (i, a) in self.trace.iter().enumerate() {
-            let mark = if i < self.prefix_len {
-                "  [shard prefix]"
-            } else {
-                ""
-            };
-            s.push_str(&format!("  {i:>3}. {}{mark}\n", a.describe(cores)));
+            s.push_str(&format!("  {i:>3}. {}\n", a.describe(cores)));
         }
         s.push_str(&format!("  => {}\n", self.failure));
         s
     }
-}
-
-/// Outcome of one bounded search ([`Space::check`]).
-#[derive(Debug)]
-pub struct CheckReport {
-    /// Distinct states visited (after fingerprint dedup).
-    pub states: usize,
-    /// Transitions applied (including ones into already-visited states).
-    pub transitions: usize,
-    /// Deepest trace explored.
-    pub max_depth: usize,
-    /// True if the depth or state bound cut the search short — the space
-    /// was *not* exhausted.
-    pub truncated: bool,
-    /// Union of the transition-table rows exercised anywhere in the
-    /// explored state space (union over all DFS branches; counts are an
-    /// over-approximation, zero/non-zero is exact).
-    pub coverage: Coverage,
-    /// First failure found, already shrunk, if any.
-    pub counterexample: Option<Counterexample>,
 }
 
 // ---------------------------------------------------------------------
@@ -495,7 +457,7 @@ pub struct SweepReport {
     pub states: usize,
     pub transitions: usize,
     pub truncated: bool,
-    /// Union of the per-program [`CheckReport::coverage`] unions.
+    /// Union of the per-program [`SweepOutcome::coverage`] unions.
     pub coverage: Coverage,
     pub counterexample: Option<(Program, Counterexample)>,
 }
@@ -521,8 +483,8 @@ pub fn sweep(
     for program in enumerate_programs(&spec.alphabet(), cores, ops_per_core) {
         let r = Space::program(&spec, &program).check();
         report.programs += 1;
-        report.states += r.states;
-        report.transitions += r.transitions;
+        report.states += r.states as usize;
+        report.transitions += r.transitions as usize;
         report.truncated |= r.truncated;
         report.coverage.merge(&r.coverage);
         if let Some(cex) = r.counterexample {

@@ -1,5 +1,4 @@
-//! The checker's one search engine, and the sharded, parallel, cached
-//! sweep built on it.
+//! The checker's one search engine, and the cached sweep built on it.
 //!
 //! A [`Space`] is one step function — [`Space::enabled`] and
 //! [`Space::apply`] over the real controllers — plus per-core,
@@ -24,40 +23,27 @@
 //! path of the per-program sweep is a path of the unified space and vice
 //! versa (asserted row-for-row by the differential tests in
 //! `tests/sweeps.rs`) — but the unified state count is orders of
-//! magnitude smaller. Both run the same depth-first search, replay and
-//! shrinker; a per-program check ([`Space::check`]) is the depth-0 case
-//! of the sharding below, run in-process.
+//! magnitude smaller.
 //!
-//! On top of the unified space sits the sharding the work-stealing pool
-//! consumes:
+//! Both strategies run the same search ([`Space::check`]): one
+//! depth-first pass from the initial state over one
+//! [`VisitedSet`](crate::visited::VisitedSet), stopping at the first
+//! failure, which is then shrunk. The DFS order is fixed by
+//! [`Space::enabled`], so the counts, the coverage vector and the
+//! counterexample are exact and deterministic.
 //!
-//! 1. **Plan** ([`plan_shards`]): breadth-first expansion from the
-//!    initial state to a fixed depth, deduplicating states globally.
-//!    The resulting frontier states — *deduped roots* — become shard
-//!    jobs; their action prefixes identify them.
-//! 2. **Execute**: each shard runs an independent bounded DFS from its
-//!    root with a private visited set, on
-//!    [`ghostwriter_exp::pool::map_parallel`]. Per-shard sets (rather
-//!    than one shared concurrent table) make every shard's result a
-//!    pure function of its root, so reports are byte-identical across
-//!    `--jobs` settings — and cacheable.
-//! 3. **Cache**: a finished shard is stored content-addressed in the
-//!    [`ghostwriter_exp::cache::ResultCache`], keyed by (spec key,
-//!    shard depth, prefix trace). Re-running a sweep after an
-//!    unrelated change is a warm no-op (`--expect-cached`).
-//! 4. **Merge**: shard results fold in frontier order — states,
-//!    transitions, coverage, truncation — and the first failing shard
-//!    (in frontier order) supplies the counterexample, which is
-//!    re-replayed and shrunk at merge time so cold and warm runs
-//!    produce byte-identical reports.
-//!
-//! Determinism guarantees (the `parallel_determinism` suite asserts
-//! these): the shard plan depends only on the spec and depth; shard
-//! results depend only on their root; the merge folds in plan order.
-//! Nothing observes scheduling, so `--jobs 1` ≡ `--jobs N`, and cached
-//! records round-trip losslessly, so cold ≡ warm.
+//! A sweep ([`run_sweep`], [`run_sweeps`]) caches each finished search
+//! whole, content-addressed by [`SweepSpec::key`] in the
+//! [`ghostwriter_exp::cache::ResultCache`], so re-running a sweep after
+//! an unrelated change is a warm no-op (`--expect-cached`). The cached
+//! record holds the failing traces, never the failure itself: replay
+//! rebuilds it, on the same path for cold and warm runs. Parallelism is
+//! across sweep cells ([`ShardOptions::jobs`] cells at once on
+//! [`ghostwriter_exp::pool::map_parallel`]); nothing in a cell observes
+//! scheduling, so `--jobs 1` ≡ `--jobs N` and cold ≡ warm (the
+//! `parallel_determinism` suite asserts both).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -72,22 +58,28 @@ use ghostwriter_exp::Fingerprint;
 use ghostwriter_sim::panic_message;
 
 use crate::trace::{decode_trace, encode_trace};
+use crate::visited::{state_key, VisitedSet};
 use crate::{
-    check_config, forks, recovery_for_budget, step_alphabet, Action, Budgets, CheckReport,
-    Counterexample, Failure, Mutation, Program, ProtocolKind, Step,
+    check_config, forks, recovery_for_budget, step_alphabet, Action, Budgets, Counterexample,
+    Failure, Mutation, Program, ProtocolKind, Step,
 };
 
-/// Bumped whenever the unified search's semantics change (alphabet,
-/// invariants, bounds): part of every shard cache key, so stale caches
-/// from an older checker can never satisfy a newer sweep.
+/// Bumped whenever the unified search's semantics or its cached record
+/// change (alphabet, invariants, bounds, record format): part of every
+/// sweep cache key, so stale caches from an older checker can never
+/// satisfy a newer sweep.
 ///
 /// Revision 3: the harness virtual network became a dense channel grid,
 /// which changed state hashing (empty channels now hash canonically
 /// instead of by insertion history).
 ///
+/// Revision 4: a sweep is one search over one visited set, cached whole
+/// under its spec key; the per-shard records (and their counts, which
+/// double-counted states sibling shards shared) are gone.
+///
 /// Deliberately NOT bumped for the payload/data split, the one-pass
 /// state hasher or the flat in-flight list that replaced the channel
-/// grid: shard cache keys are built from these textual fields, never
+/// grid: sweep cache keys are built from these textual fields, never
 /// from `System::fingerprint` (see [`SweepSpec::key`]), so the
 /// in-process fingerprint is free to change its bits as long as it
 /// still partitions logical states exactly as before. All three hash
@@ -97,19 +89,15 @@ use crate::{
 /// transition counts, slot independence by
 /// `fingerprint_independent_of_data_slot_assignment` in the core
 /// harness, and the value by `check_revision_pinned` below.
-pub const CHECK_REVISION: u64 = 3;
+pub const CHECK_REVISION: u64 = 4;
 
-/// Schema version of the cached shard record payload.
-const SHARD_SCHEMA: u64 = 1;
+/// States a breadth-first shrink may visit before it gives up and the
+/// chunked-deletion result stands. The queue holds whole systems, so
+/// this stays far below the search's own cap.
+const SHRINK_MAX_STATES: usize = 1_000_000;
 
-/// Auto shard-depth policy: deepen the plan until the frontier has at
-/// least this many roots (or [`AUTO_DEPTH_CAP`] is reached). Fixed
-/// constants — the plan must not depend on `--jobs`, or reports would.
-const AUTO_FRONTIER_TARGET: usize = 48;
-const AUTO_DEPTH_CAP: usize = 4;
-
-/// One sweep cell of the sharded checker: everything that identifies
-/// the searched space (and therefore the cache key).
+/// One sweep cell of the checker: everything that identifies the
+/// searched space (and therefore the cache key).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SweepSpec {
     pub kind: ProtocolKind,
@@ -246,19 +234,10 @@ impl SweepSpec {
 }
 
 impl Counterexample {
-    /// Self-contained failure report: the shard prefix (when the trace
-    /// still carries one), the rendered trace, and the replay command
-    /// line, verbatim.
+    /// Self-contained failure report: the rendered trace and the replay
+    /// command line, verbatim.
     pub fn describe(&self, spec: &SweepSpec) -> String {
-        let mut s = String::new();
-        if self.prefix_len > 0 {
-            s.push_str(&format!(
-                "  shard prefix ({} actions): {}\n",
-                self.prefix_len,
-                encode_trace(&self.trace[..self.prefix_len])
-            ));
-        }
-        s.push_str(&self.render(spec.cores));
+        let mut s = self.render(spec.cores);
         s.push_str(&format!("  replay: {}\n", spec.replay_command(&self.trace)));
         s
     }
@@ -274,25 +253,15 @@ pub struct Space {
     issue: Vec<Vec<Vec<Step>>>,
     /// Bound on trace length (absolute, from the initial state).
     pub max_depth: usize,
-    /// Bound on newly visited states per shard.
+    /// Bound on the states one search visits beyond the initial one;
+    /// reaching it ends the search `truncated`. At ≈15 B of visited set
+    /// per state, the default allows ≈0.5 GB.
     pub max_states: usize,
-}
-
-/// A search state key: system fingerprint + packed per-core remaining
-/// budgets (4 bits per core — asserted in [`Space::new`]).
-type StateKey = (u128, u64);
-
-fn state_key(sys: &System, budgets: Budgets) -> StateKey {
-    (sys.fingerprint(), budgets.bits())
 }
 
 /// Reconstructs the action trace from `root` to `key` by walking the
 /// BFS parent links backwards.
-fn trace_to(
-    parent: &HashMap<StateKey, (StateKey, Action)>,
-    root: StateKey,
-    key: StateKey,
-) -> Vec<Action> {
+fn trace_to(parent: &HashMap<u64, (u64, Action)>, root: u64, key: u64) -> Vec<Action> {
     let mut trace = Vec::new();
     let mut at = key;
     while at != root {
@@ -345,7 +314,7 @@ impl Space {
             issue,
             spec: spec.clone(),
             max_depth: 256,
-            max_states: 1_000_000,
+            max_states: 32_000_000,
         }
     }
 
@@ -356,9 +325,9 @@ impl Space {
     /// The initial state. The budgets hold each core's issue budget,
     /// then, in bounded-fault mode, one extra slot: the fault budget
     /// left. It rides the per-core-budget plumbing (and state-key
-    /// nibble packing) everywhere — plans, shards, caches — so the fault
-    /// dimension needs no new threading. A core's program counter is
-    /// its issue budget minus its budget left.
+    /// nibble packing) everywhere, so the fault dimension needs no new
+    /// threading. A core's program counter is its issue budget minus its
+    /// budget left.
     fn initial(&self) -> (System, Budgets) {
         let faults = (self.spec.fault_budget > 0).then_some(self.spec.fault_budget);
         let budgets = Budgets::new(self.issue.iter().map(Vec::len).chain(faults));
@@ -367,8 +336,8 @@ impl Space {
 
     /// Enabled actions, in a fixed deterministic order (issues by core
     /// then choice order, delivers in row-major channel order, then the
-    /// bounded-fault actions, timeouts by core). Plan and shard searches
-    /// both depend on this order being schedule-independent.
+    /// bounded-fault actions, timeouts by core). The search order, and
+    /// so every count and counterexample, rests on this order.
     fn enabled(&self, sys: &System, budgets: Budgets) -> Vec<Action> {
         let mut acts = Vec::new();
         self.enabled_into(sys, budgets, &mut acts);
@@ -510,22 +479,53 @@ impl Space {
     }
 
     /// Searches the whole space from the initial state in one
-    /// depth-first pass — the depth-0 shard, run in-process and
-    /// uncached. Stops at the first failure, which is returned shrunk.
-    pub fn check(&self) -> CheckReport {
-        let (root, budgets) = self.initial();
-        let shard = self.run_shard(root, budgets, &[]);
-        let counterexample = shard
-            .failure_trace
-            .map(|trace| self.shrink(self.reproduce(trace)));
-        CheckReport {
-            // The root, plus every state the search first visited.
-            states: 1 + shard.states as usize,
-            transitions: shard.transitions as usize,
-            max_depth: shard.max_depth as usize,
-            truncated: shard.truncated,
-            coverage: shard.coverage,
-            counterexample,
+    /// depth-first pass over one visited set, uncached. Stops at the
+    /// first failure, which is reported as found and shrunk.
+    pub fn check(&self) -> SweepOutcome {
+        self.outcome(self.search())
+    }
+
+    /// The depth-first search behind [`Space::check`], as the record a
+    /// sweep caches: the failing trace as found and shrunk, not the
+    /// failure itself.
+    fn search(&self) -> SweepRecord {
+        let (mut root, budgets) = self.initial();
+        let mut visited = VisitedSet::default();
+        visited.insert(state_key(&root, budgets));
+        let mut record = SweepRecord {
+            states: 1,
+            ..Default::default()
+        };
+        let found = self.dfs(
+            &mut root,
+            budgets,
+            &mut visited,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut record,
+        );
+        record.traces = found.map(|raw| {
+            let shrunk = self.shrink(self.reproduce(raw.clone())).trace;
+            (raw, shrunk)
+        });
+        record
+    }
+
+    /// The outcome `record` stands for, each failure rebuilt by replay.
+    fn outcome(&self, record: SweepRecord) -> SweepOutcome {
+        let (raw, shrunk) = match record.traces {
+            Some((raw, shrunk)) => (Some(self.reproduce(raw)), Some(self.reproduce(shrunk))),
+            None => (None, None),
+        };
+        SweepOutcome {
+            spec: self.spec.clone(),
+            states: record.states,
+            transitions: record.transitions,
+            max_depth: record.max_depth,
+            truncated: record.truncated,
+            coverage: record.coverage,
+            raw_counterexample: raw,
+            counterexample: shrunk,
         }
     }
 
@@ -535,7 +535,7 @@ impl Space {
         let failure = self
             .replay(&trace)
             .expect("recorded failing trace must reproduce on replay");
-        Counterexample::new(trace, failure)
+        Counterexample { trace, failure }
     }
 
     /// Deterministically replays `trace` from the initial state.
@@ -577,10 +577,9 @@ impl Space {
     /// a breadth-first search over the whole space for the shortest
     /// failing trace, capped at the ddmin result's depth (a failure is
     /// known to exist there). BFS order is deterministic, so the
-    /// shrunk trace is too. If the BFS hits the state cap first (it
+    /// shrunk trace is too. If the BFS hits its state cap first (it
     /// never does on the seeded-mutation configs, but the cap keeps it
-    /// total), the ddmin result stands. `prefix_len` resets to 0 —
-    /// the minimal trace has no shard structure.
+    /// total), the ddmin result stands.
     pub fn shrink(&self, cex: Counterexample) -> Counterexample {
         let ddmin = self.ddmin(cex);
         match self.shortest_failure(ddmin.trace.len()) {
@@ -620,7 +619,7 @@ impl Space {
             }
             chunk = (chunk / 2).max(1);
         }
-        Counterexample::new(trace, failure)
+        Counterexample { trace, failure }
     }
 
     /// Breadth-first search for the shortest failing trace, up to
@@ -628,14 +627,15 @@ impl Space {
     /// at depth d expands (trace length d+1); deadlocks surface when a
     /// terminal state dequeues (trace length d) — so after the first
     /// hit the scan continues until the queue depth rules out anything
-    /// shorter. Returns `None` if the state cap is reached first.
+    /// shorter. Returns `None` if [`SHRINK_MAX_STATES`] is reached
+    /// first.
     fn shortest_failure(&self, depth_cap: usize) -> Option<Counterexample> {
         let (root, root_budgets) = self.initial();
         let root_key = state_key(&root, root_budgets);
-        let mut parent: HashMap<StateKey, (StateKey, Action)> = HashMap::new();
-        let mut visited: HashSet<StateKey> = HashSet::new();
+        let mut parent: HashMap<u64, (u64, Action)> = HashMap::new();
+        let mut visited = VisitedSet::default();
         visited.insert(root_key);
-        let mut queue: VecDeque<(System, Budgets, StateKey, usize)> = VecDeque::new();
+        let mut queue = std::collections::VecDeque::new();
         queue.push_back((root, root_budgets, root_key, 0));
         let mut best: Option<Counterexample> = None;
         while let Some((sys, budgets, key, depth)) = queue.pop_front() {
@@ -648,8 +648,9 @@ impl Space {
             }
             let actions = self.enabled(&sys, budgets);
             if actions.is_empty() {
-                if let Some(f) = self.terminal_failure(&sys, budgets) {
-                    best = Some(Counterexample::new(trace_to(&parent, root_key, key), f));
+                if let Some(failure) = self.terminal_failure(&sys, budgets) {
+                    let trace = trace_to(&parent, root_key, key);
+                    best = Some(Counterexample { trace, failure });
                 }
                 continue;
             }
@@ -659,17 +660,17 @@ impl Space {
             for (action, mut next) in forks(sys, actions) {
                 let mut next_budgets = budgets;
                 match self.apply(&mut next, &mut next_budgets, action) {
-                    Err(f) => {
+                    Err(failure) => {
                         let mut trace = trace_to(&parent, root_key, key);
                         trace.push(action);
                         if best.as_ref().is_none_or(|b| trace.len() < b.trace.len()) {
-                            best = Some(Counterexample::new(trace, f));
+                            best = Some(Counterexample { trace, failure });
                         }
                     }
                     Ok(()) => {
                         let next_key = state_key(&next, next_budgets);
                         if visited.insert(next_key) {
-                            if visited.len() >= self.max_states {
+                            if visited.len() >= SHRINK_MAX_STATES {
                                 return None;
                             }
                             parent.insert(next_key, (key, action));
@@ -682,43 +683,19 @@ impl Space {
         best
     }
 
-    /// Runs one shard: a bounded DFS from `root` (reached via `prefix`)
-    /// with a private visited set seeded with the root only. Stops at
-    /// the shard's first failure. `states` counts only states first
-    /// visited inside this shard — the root itself was counted by the
-    /// plan.
-    fn run_shard(&self, mut root: System, budgets: Budgets, prefix: &[Action]) -> ShardResult {
-        let mut result = ShardResult::default();
-        let mut visited: HashSet<StateKey> = HashSet::new();
-        visited.insert(state_key(&root, budgets));
-        let mut path = prefix.to_vec();
-        result.max_depth = path.len() as u64;
-        let mut actions = Vec::new();
-        let failing = self.dfs(
-            &mut root,
-            budgets,
-            &mut visited,
-            &mut path,
-            &mut actions,
-            &mut result,
-        );
-        result.failure_trace = failing;
-        result
-    }
-
     /// Searches every state reachable from `sys`, and spends `sys`
     /// doing so: the last enabled action is applied to it in place, so
-    /// only the others fork it.
+    /// only the others fork it. Returns the first failing trace.
     fn dfs(
         &self,
         sys: &mut System,
         budgets: Budgets,
-        visited: &mut HashSet<StateKey>,
+        visited: &mut VisitedSet,
         path: &mut Vec<Action>,
         actions: &mut Vec<Action>,
-        result: &mut ShardResult,
+        record: &mut SweepRecord,
     ) -> Option<Vec<Action>> {
-        result.max_depth = result.max_depth.max(path.len() as u64);
+        record.max_depth = record.max_depth.max(path.len() as u64);
         // This state's actions go on top of its ancestors' on the one
         // stack, and come off it again before the search backs up (a
         // failure ends the whole search, so its returns skip that).
@@ -728,8 +705,9 @@ impl Space {
         if first == end {
             return self.terminal_failure(sys, budgets).map(|_| path.clone());
         }
-        if path.len() >= self.max_depth || result.states as usize >= self.max_states {
-            result.truncated = true;
+        // `states` counts the initial state too, which the cap does not.
+        if path.len() >= self.max_depth || record.states as usize > self.max_states {
+            record.truncated = true;
             actions.truncate(first);
             return None;
         }
@@ -745,9 +723,9 @@ impl Space {
             };
             let mut next_budgets = budgets;
             path.push(action);
-            result.transitions += 1;
+            record.transitions += 1;
             let applied = self.apply(next, &mut next_budgets, action);
-            result.coverage.merge(&next.stats().coverage);
+            record.coverage.merge(&next.stats().coverage);
             match applied {
                 Err(_) => {
                     let trace = path.clone();
@@ -756,9 +734,9 @@ impl Space {
                 }
                 Ok(()) => {
                     if visited.insert(state_key(next, next_budgets)) {
-                        result.states += 1;
+                        record.states += 1;
                         if let Some(trace) =
-                            self.dfs(next, next_budgets, visited, path, actions, result)
+                            self.dfs(next, next_budgets, visited, path, actions, record)
                         {
                             path.pop();
                             return Some(trace);
@@ -773,25 +751,22 @@ impl Space {
     }
 }
 
-/// What one shard's search produced. The serializable subset (states,
-/// transitions, depth, truncation, coverage, the raw failing trace) is
-/// the cached payload; the [`Failure`] itself is *not* stored — it is
-/// reconstructed by replaying the trace at merge time, which keeps the
-/// cache format simple and makes cold and warm merges take the
-/// identical code path.
+/// What one search produced: the cached form of a [`SweepOutcome`].
+/// The failures themselves are not stored: [`Space::outcome`] replays
+/// the traces, so a cache written by one binary can never smuggle in a
+/// stale failure description, and cold and warm runs share one path.
 #[derive(Clone, Debug, Default)]
-pub struct ShardResult {
-    pub states: u64,
-    pub transitions: u64,
-    /// Deepest absolute trace (including the shard prefix).
-    pub max_depth: u64,
-    pub truncated: bool,
-    pub coverage: Coverage,
-    /// The shard's first failing trace, absolute from the initial
-    /// state (prefix included). The [`Failure`] itself is not stored:
-    /// merge replays the trace, so cold and warm merges share one
-    /// path.
-    pub failure_trace: Option<Vec<Action>>,
+struct SweepRecord {
+    /// Distinct states visited, the initial state included.
+    states: u64,
+    /// Transitions applied (including ones into already-visited states).
+    transitions: u64,
+    /// Deepest trace explored.
+    max_depth: u64,
+    truncated: bool,
+    coverage: Coverage,
+    /// The first failing trace as the search found it, and shrunk.
+    traces: Option<(Vec<Action>, Vec<Action>)>,
 }
 
 fn coverage_to_json(c: &Coverage) -> Json {
@@ -828,146 +803,63 @@ fn coverage_from_json(doc: &Json) -> Result<Coverage, String> {
     Ok(c)
 }
 
-impl CacheRecord for ShardResult {
+impl CacheRecord for SweepRecord {
     fn to_json(&self) -> Json {
         let mut o = Json::obj();
-        o.push("schema", Json::U64(SHARD_SCHEMA));
         o.push("states", Json::U64(self.states));
         o.push("transitions", Json::U64(self.transitions));
         o.push("max_depth", Json::U64(self.max_depth));
         o.push("truncated", Json::U64(self.truncated as u64));
         o.push("coverage", coverage_to_json(&self.coverage));
-        o.push(
-            "failure_trace",
-            match &self.failure_trace {
-                Some(trace) => Json::Str(encode_trace(trace)),
-                None => Json::Null,
-            },
-        );
+        let (raw, shrunk) = match &self.traces {
+            Some((raw, shrunk)) => (
+                Json::Str(encode_trace(raw)),
+                Json::Str(encode_trace(shrunk)),
+            ),
+            None => (Json::Null, Json::Null),
+        };
+        o.push("raw_trace", raw);
+        o.push("shrunk_trace", shrunk);
         o
     }
 
     fn from_json(doc: &Json) -> Result<Self, String> {
-        let schema = doc
-            .field("schema")
-            .and_then(|f| f.as_u64())
-            .map_err(|e| e.to_string())?;
-        if schema != SHARD_SCHEMA {
-            return Err(format!("shard schema {schema}, expected {SHARD_SCHEMA}"));
-        }
-        let u = |name: &str| {
-            doc.field(name)
-                .and_then(|f| f.as_u64())
-                .map_err(|e| e.to_string())
+        let field = |name: &str| doc.field(name).map_err(|e| e.to_string());
+        let u = |name: &str| field(name)?.as_u64().map_err(|e| e.to_string());
+        let trace = |name: &str| match field(name)? {
+            Json::Null => Ok(None),
+            Json::Str(s) => decode_trace(s)
+                .map(Some)
+                .ok_or_else(|| format!("bad {name} {s:?}")),
+            other => Err(format!("{name} must be string/null, got {other:?}")),
         };
-        let failure_trace = match doc.field("failure_trace").map_err(|e| e.to_string())? {
-            Json::Null => None,
-            Json::Str(s) => {
-                Some(decode_trace(s).ok_or_else(|| format!("bad failure trace {s:?}"))?)
-            }
-            other => return Err(format!("failure_trace must be string/null, got {other:?}")),
+        let traces = match (trace("raw_trace")?, trace("shrunk_trace")?) {
+            (Some(raw), Some(shrunk)) => Some((raw, shrunk)),
+            (None, None) => None,
+            _ => return Err("raw_trace and shrunk_trace must both be set or null".into()),
         };
-        Ok(ShardResult {
+        Ok(SweepRecord {
             states: u("states")?,
             transitions: u("transitions")?,
             max_depth: u("max_depth")?,
             truncated: u("truncated")? != 0,
-            coverage: coverage_from_json(doc.field("coverage").map_err(|e| e.to_string())?)?,
-            failure_trace,
+            coverage: coverage_from_json(field("coverage")?)?,
+            traces,
         })
     }
 }
 
-/// The deterministic frontier split: everything the breadth-first
-/// prefix expansion produced.
-pub struct ShardPlan {
-    /// Depth the frontier sits at.
-    pub depth: usize,
-    /// Deduped frontier roots, in BFS discovery order: the action
-    /// prefix that reaches the root, plus the root state itself.
-    pub prefixes: Vec<(Vec<Action>, System, Budgets)>,
-    /// States first visited during planning (including the initial
-    /// state).
-    pub states: u64,
-    pub transitions: u64,
-    pub coverage: Coverage,
-    /// A failure hit while expanding the prefix region, if any (the
-    /// plan stops immediately; no shards run).
-    pub prefix_failure: Option<Counterexample>,
-}
-
-/// Expands the unified space breadth-first to `depth` levels (or until
-/// the frontier drains), deduplicating states globally. With
-/// `depth: None` the auto policy deepens until the frontier reaches
-/// [`AUTO_FRONTIER_TARGET`] roots or [`AUTO_DEPTH_CAP`] — fixed
-/// constants, so the plan never depends on `--jobs`.
-pub fn plan_shards(space: &Space, depth: Option<usize>) -> ShardPlan {
-    let (sys, budgets) = space.initial();
-    let mut visited: HashSet<StateKey> = HashSet::new();
-    visited.insert(state_key(&sys, budgets));
-    let mut plan = ShardPlan {
-        depth: 0,
-        prefixes: vec![(Vec::new(), sys, budgets)],
-        states: 1,
-        transitions: 0,
-        coverage: Coverage::default(),
-        prefix_failure: None,
-    };
-    loop {
-        let deep_enough = match depth {
-            Some(d) => plan.depth >= d,
-            None => plan.depth >= AUTO_DEPTH_CAP || plan.prefixes.len() >= AUTO_FRONTIER_TARGET,
-        };
-        if deep_enough || plan.prefixes.is_empty() {
-            return plan;
-        }
-        let level = std::mem::take(&mut plan.prefixes);
-        let mut next_level = Vec::new();
-        for (prefix, sys, budgets) in level {
-            let actions = space.enabled(&sys, budgets);
-            if actions.is_empty() {
-                // Terminal before the frontier: check it here — no
-                // shard will ever see it.
-                if let Some(failure) = space.terminal_failure(&sys, budgets) {
-                    plan.prefix_failure = Some(Counterexample::new(prefix, failure));
-                    return plan;
-                }
-                continue;
-            }
-            for (action, mut next) in forks(sys, actions) {
-                let mut next_budgets = budgets;
-                plan.transitions += 1;
-                let applied = space.apply(&mut next, &mut next_budgets, action);
-                plan.coverage.merge(&next.stats().coverage);
-                let mut trace = prefix.clone();
-                trace.push(action);
-                if let Err(failure) = applied {
-                    plan.prefix_failure = Some(Counterexample::new(trace, failure));
-                    return plan;
-                }
-                if visited.insert(state_key(&next, next_budgets)) {
-                    plan.states += 1;
-                    next_level.push((trace, next, next_budgets));
-                }
-            }
-        }
-        plan.prefixes = next_level;
-        plan.depth += 1;
-    }
-}
-
-/// Execution policy for one sharded sweep.
+/// Execution policy for a batch of sweeps.
 #[derive(Clone, Debug)]
 pub struct ShardOptions {
-    /// Worker threads for the shard pool.
+    /// Sweep cells searched at once ([`run_sweeps`]); each cell is one
+    /// single-threaded search.
     pub jobs: usize,
-    /// Frontier depth; `None` selects the fixed auto policy.
-    pub shard_depth: Option<usize>,
-    /// `false` bypasses the shard cache (no lookups, no stores).
+    /// `false` bypasses the sweep cache (no lookups, no stores).
     pub use_cache: bool,
-    /// Where cached shard records live.
+    /// Where cached sweep records live.
     pub cache_dir: PathBuf,
-    /// Stream per-shard progress to stderr.
+    /// Report each finished cell on stderr.
     pub progress: bool,
 }
 
@@ -975,7 +867,6 @@ impl Default for ShardOptions {
     fn default() -> Self {
         Self {
             jobs: 1,
-            shard_depth: None,
             use_cache: true,
             cache_dir: default_cache_dir(),
             progress: false,
@@ -983,7 +874,7 @@ impl Default for ShardOptions {
     }
 }
 
-/// The default on-repo shard cache (sibling of the experiment cache,
+/// The default on-repo sweep cache (sibling of the experiment cache,
 /// same ignored `results/` tree).
 pub fn default_cache_dir() -> PathBuf {
     PathBuf::from("results/cache/check")
@@ -992,38 +883,35 @@ pub fn default_cache_dir() -> PathBuf {
 /// Non-deterministic per-run bookkeeping (never part of the report
 /// fingerprint: wall clock and cache behavior vary run to run).
 #[derive(Clone, Debug, Default)]
-pub struct ShardLog {
-    /// Frontier shards in the plan.
-    pub shards: usize,
-    /// Shards served from cache.
-    pub cache_hits: usize,
-    /// Shards that actually searched (misses + `--no-cache`).
-    pub executed: usize,
-    /// Corrupt cache entries detected (subset of `executed`).
-    pub corrupt: usize,
-    /// Whole-sweep wall clock, ms.
+pub struct SweepLog {
+    /// Served from the cache, without a search.
+    pub cached: bool,
+    /// A corrupt cache entry was found and searched over.
+    pub corrupt: bool,
+    /// Wall clock of the cell, ms.
     pub wall_ms: u64,
 }
 
-/// The merged, deterministic result of one sharded sweep.
+/// The deterministic result of one sweep.
 #[derive(Debug)]
 pub struct SweepOutcome {
     pub spec: SweepSpec,
-    pub shard_depth: usize,
-    pub shards: usize,
-    /// Distinct states: plan states + per-shard newly-visited sums.
-    /// (States re-visited by sibling shards count once per shard — a
-    /// deterministic over-approximation; see docs/checking.md.)
+    /// Distinct states visited, the initial state included.
     pub states: u64,
+    /// Transitions applied (including ones into already-visited states).
     pub transitions: u64,
+    /// Deepest trace explored.
     pub max_depth: u64,
+    /// True if the depth or state bound cut the search short — the space
+    /// was *not* exhausted.
     pub truncated: bool,
+    /// Union of the transition-table rows exercised anywhere in the
+    /// explored state space (union over all DFS branches; counts are an
+    /// over-approximation, zero/non-zero is exact).
     pub coverage: Coverage,
-    /// The failing trace exactly as the search found it, with its
-    /// shard prefix marked (`prefix_len`).
+    /// The failing trace exactly as the search found it.
     pub raw_counterexample: Option<Counterexample>,
-    /// The same failure after merge-time shrinking (what tests and the
-    /// CLI lead with).
+    /// The same failure shrunk (what tests and the CLI lead with).
     pub counterexample: Option<Counterexample>,
 }
 
@@ -1034,8 +922,6 @@ impl SweepOutcome {
     pub fn to_json(&self) -> Json {
         let mut o = Json::obj();
         o.push("spec", Json::Str(self.spec.key()));
-        o.push("shard_depth", Json::U64(self.shard_depth as u64));
-        o.push("shards", Json::U64(self.shards as u64));
         o.push("states", Json::U64(self.states));
         o.push("transitions", Json::U64(self.transitions));
         o.push("max_depth", Json::U64(self.max_depth));
@@ -1047,7 +933,6 @@ impl SweepOutcome {
                 (Some(raw), Some(shrunk)) => {
                     let mut c = Json::obj();
                     c.push("raw_trace", Json::Str(encode_trace(&raw.trace)));
-                    c.push("shard_prefix_len", Json::U64(raw.prefix_len as u64));
                     c.push("shrunk_trace", Json::Str(encode_trace(&shrunk.trace)));
                     c.push("failure", Json::Str(shrunk.failure.to_string()));
                     c
@@ -1063,140 +948,94 @@ impl SweepOutcome {
     pub fn fingerprint(&self) -> Fingerprint {
         Fingerprint::of(self.to_json().to_pretty().as_bytes())
     }
+
+    /// The one-line verdict `gwcheck` prints: `PASS`, `TRUNCATED` (a
+    /// bound cut the search short, so nothing is proven) or `FAIL`.
+    pub fn verdict(&self, log: &SweepLog) -> String {
+        let word = match (&self.counterexample, self.truncated) {
+            (Some(_), _) => "FAIL",
+            (None, true) => "TRUNCATED",
+            (None, false) => "PASS",
+        };
+        let mut line = format!(
+            "{word}  {}: {} states, {} transitions in {:.2}s ({})",
+            self.spec.label(),
+            self.states,
+            self.transitions,
+            log.wall_ms as f64 / 1000.0,
+            if log.cached { "cached" } else { "searched" },
+        );
+        if word == "TRUNCATED" {
+            line.push_str(" — a depth or state bound was hit: not exhaustive");
+        }
+        line
+    }
 }
 
-/// Runs one sharded sweep: plan → (cache-probed) pool execution →
-/// deterministic merge.
-pub fn run_sweep(spec: &SweepSpec, opts: &ShardOptions) -> (SweepOutcome, ShardLog) {
-    let t0 = Instant::now();
-    let space = Space::new(spec);
-    let plan = plan_shards(&space, opts.shard_depth);
-    let mut log = ShardLog {
-        shards: plan.prefixes.len(),
-        ..Default::default()
-    };
+/// Runs one sweep cell: a cache probe, else one search (see
+/// [`run_sweeps`]).
+pub fn run_sweep(spec: &SweepSpec, opts: &ShardOptions) -> (SweepOutcome, SweepLog) {
+    run_sweeps(std::slice::from_ref(spec), opts)
+        .pop()
+        .expect("one outcome per spec")
+}
 
-    let mut outcome = SweepOutcome {
-        spec: spec.clone(),
-        shard_depth: plan.depth,
-        shards: plan.prefixes.len(),
-        states: plan.states,
-        transitions: plan.transitions,
-        max_depth: plan.depth as u64,
-        truncated: false,
-        coverage: plan.coverage.clone(),
-        raw_counterexample: None,
-        counterexample: None,
-    };
-
-    if let Some(cex) = plan.prefix_failure {
-        // The prefix region itself failed: no shards ran; the failure
-        // predates any frontier split, so there is no shard prefix.
-        outcome.raw_counterexample = Some(cex.clone());
-        outcome.counterexample = Some(space.shrink(cex));
-        log.wall_ms = t0.elapsed().as_millis() as u64;
-        return (outcome, log);
-    }
-
+/// Runs every cell of `specs`, `opts.jobs` at a time, each served from
+/// the cache when it holds the cell's record and searched (then stored)
+/// otherwise. Outcomes come back in `specs` order.
+pub fn run_sweeps(specs: &[SweepSpec], opts: &ShardOptions) -> Vec<(SweepOutcome, SweepLog)> {
     let cache = ResultCache::new(&opts.cache_dir);
     let done = AtomicUsize::new(0);
-    let total = plan.prefixes.len();
-    let outcomes = map_parallel(opts.jobs, plan.prefixes, |_, (prefix, sys, budgets)| {
-        let fp = Fingerprint::of_parts(
-            [
-                spec.key(),
-                format!("depth={}", plan.depth),
-                encode_trace(&prefix),
-            ]
-            .iter()
-            .map(|s| s.as_str()),
-        );
-        let (result, hit, corrupt) = if opts.use_cache {
-            match cache.load::<ShardResult>(fp) {
-                Ok(rec) => (rec, true, false),
-                Err(miss) => {
-                    let corrupt = matches!(miss, Miss::Corrupt(_));
-                    match &miss {
-                        Miss::Absent => {}
-                        Miss::Stale(why) => eprintln!(
-                            "gwcheck: discarding shard in an older record format {}: {why}",
-                            fp.hex()
-                        ),
-                        Miss::Corrupt(why) => {
-                            eprintln!("gwcheck: discarding corrupt shard {}: {why}", fp.hex())
-                        }
-                    }
-                    let rec = space.run_shard(sys, budgets, &prefix);
-                    let key = format!("{}|depth={}|prefix={}", spec.key(), plan.depth, {
-                        encode_trace(&prefix)
-                    });
-                    if let Err(e) = cache.store(fp, &key, &rec) {
-                        eprintln!("gwcheck: shard cache store failed for {}: {e}", fp.hex());
-                    }
-                    (rec, false, corrupt)
+    map_parallel(opts.jobs, specs.to_vec(), |_, spec| {
+        let t0 = Instant::now();
+        let space = Space::new(&spec);
+        let key = spec.key();
+        let fp = Fingerprint::of(key.as_bytes());
+        let mut log = SweepLog::default();
+        let loaded = match opts.use_cache.then(|| cache.load::<SweepRecord>(fp)) {
+            Some(Ok(record)) => Some(record),
+            Some(Err(Miss::Stale(why))) => {
+                eprintln!(
+                    "gwcheck: discarding sweep record in an older format {}: {why}",
+                    fp.hex()
+                );
+                None
+            }
+            Some(Err(Miss::Corrupt(why))) => {
+                eprintln!(
+                    "gwcheck: discarding corrupt sweep record {}: {why}",
+                    fp.hex()
+                );
+                log.corrupt = true;
+                None
+            }
+            Some(Err(Miss::Absent)) | None => None,
+        };
+        log.cached = loaded.is_some();
+        let record = loaded.unwrap_or_else(|| {
+            let record = space.search();
+            if opts.use_cache {
+                if let Err(e) = cache.store(fp, &key, &record) {
+                    eprintln!("gwcheck: sweep cache store failed for {}: {e}", fp.hex());
                 }
             }
-        } else {
-            (space.run_shard(sys, budgets, &prefix), false, false)
-        };
+            record
+        });
+        let outcome = space.outcome(record);
+        log.wall_ms = t0.elapsed().as_millis() as u64;
         if opts.progress {
             let n = done.fetch_add(1, Ordering::SeqCst) + 1;
-            eprint!("\rgwcheck: {} {n}/{total} shards", spec.label());
-            if n == total {
-                eprintln!();
-            }
+            eprintln!("gwcheck: {} done ({n}/{})", spec.label(), specs.len());
         }
-        (prefix, result, hit, corrupt)
-    });
-
-    // Deterministic merge, in frontier (plan) order.
-    let mut first_failure: Option<(Vec<Action>, Vec<Action>)> = None;
-    for (prefix, result, hit, corrupt) in outcomes {
-        if hit {
-            log.cache_hits += 1;
-        } else {
-            log.executed += 1;
-        }
-        if corrupt {
-            log.corrupt += 1;
-        }
-        outcome.states += result.states;
-        outcome.transitions += result.transitions;
-        outcome.max_depth = outcome.max_depth.max(result.max_depth);
-        outcome.truncated |= result.truncated;
-        outcome.coverage.merge(&result.coverage);
-        if first_failure.is_none() {
-            if let Some(trace) = result.failure_trace {
-                first_failure = Some((prefix, trace));
-            }
-        }
-    }
-
-    if let Some((prefix, trace)) = first_failure {
-        // Reconstruct the failure by replaying the recorded trace —
-        // the identical path whether the shard was freshly searched or
-        // cache-loaded — then shrink at merge time.
-        let mut raw = space.reproduce(trace);
-        raw.prefix_len = prefix.len();
-        outcome.counterexample = Some(space.shrink(raw.clone()));
-        outcome.raw_counterexample = Some(raw);
-    }
-
-    log.wall_ms = t0.elapsed().as_millis() as u64;
-    (outcome, log)
+        (outcome, log)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ghostwriter_core::harness::Op;
-
-    fn no_cache() -> ShardOptions {
-        ShardOptions {
-            use_cache: false,
-            ..Default::default()
-        }
-    }
+    use std::collections::HashSet;
 
     #[test]
     fn spec_key_distinguishes_every_field() {
@@ -1234,130 +1073,118 @@ mod tests {
         ] {
             keys.push(spec.key());
         }
-        let distinct: std::collections::HashSet<_> = keys.iter().collect();
+        let distinct: HashSet<_> = keys.iter().collect();
         assert_eq!(distinct.len(), keys.len(), "colliding keys: {keys:?}");
     }
 
-    /// The payload/data split changed the *representation* of in-flight
-    /// messages but not the logical state space, and the fingerprint
-    /// hashes logical messages, so cached shard records stay valid:
-    /// CHECK_REVISION must not silently drift. Anyone bumping it should
-    /// have changed the searched semantics, not just the encoding.
+    /// The revision only moves with the searched semantics or the cached
+    /// record format (revision 4: whole-sweep records replaced per-shard
+    /// ones), never with the fingerprint's bits alone.
     #[test]
     fn check_revision_pinned() {
-        assert_eq!(CHECK_REVISION, 3);
+        assert_eq!(CHECK_REVISION, 4);
         assert!(SweepSpec::new(ProtocolKind::Mesi, 2, 1, 2)
             .key()
-            .starts_with("check-rev=3|"));
+            .starts_with("check-rev=4|"));
     }
 
     #[test]
-    fn shard_result_round_trips_through_cache_record() {
-        let mut r = ShardResult {
+    fn sweep_record_round_trips_through_cache_record() {
+        let issue = Action::Issue {
+            core: 0,
+            step: Step {
+                block: 1,
+                op: Op::Store,
+            },
+        };
+        let deliver = Action::Deliver { src: 0, dst: 2 };
+        let mut r = SweepRecord {
             states: 7,
             transitions: 19,
             max_depth: 11,
             truncated: true,
+            traces: Some((vec![issue, deliver, deliver], vec![issue, deliver])),
             ..Default::default()
         };
         r.coverage.l1[0] = 3;
         r.coverage.dir[5] = 9;
-        r.failure_trace = Some(vec![
-            Action::Issue {
-                core: 0,
-                step: Step {
-                    block: 1,
-                    op: Op::Store,
-                },
-            },
-            Action::Deliver { src: 0, dst: 2 },
-        ]);
         let text = r.canonical_text();
-        let back = ShardResult::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = SweepRecord::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.canonical_text(), text);
         assert_eq!(back.states, 7);
-        assert_eq!(back.failure_trace, r.failure_trace);
+        assert_eq!(back.traces, r.traces);
         assert_eq!(back.coverage.l1[0], 3);
     }
 
     #[test]
-    fn plan_depth_zero_is_one_root() {
-        let spec = SweepSpec::new(ProtocolKind::Mesi, 2, 1, 1);
-        let space = Space::new(&spec);
-        let plan = plan_shards(&space, Some(0));
-        assert_eq!(plan.depth, 0);
-        assert_eq!(plan.prefixes.len(), 1);
-        assert!(plan.prefixes[0].0.is_empty());
-        assert_eq!(plan.states, 1);
-    }
-
-    #[test]
-    fn deeper_plans_have_deduped_roots() {
+    fn a_state_cap_truncates_and_the_verdict_says_so() {
         let spec = SweepSpec::new(ProtocolKind::Mesi, 2, 1, 2);
-        let space = Space::new(&spec);
-        let plan = plan_shards(&space, Some(2));
-        assert_eq!(plan.depth, 2);
-        assert!(plan.prefixes.len() > 1);
-        // Roots are distinct states by construction.
-        let keys: std::collections::HashSet<_> = plan
-            .prefixes
-            .iter()
-            .map(|(_, sys, budgets)| state_key(sys, *budgets))
-            .collect();
-        assert_eq!(keys.len(), plan.prefixes.len());
+        let mut space = Space::new(&spec);
+        space.max_states = 100;
+        let outcome = space.check();
+        assert!(outcome.truncated && outcome.counterexample.is_none());
+        let line = outcome.verdict(&SweepLog::default());
+        assert!(line.starts_with("TRUNCATED  Mesi 2c/1b ops=2: "), "{line}");
+        assert!(line.contains("not exhaustive"), "{line}");
+
+        let full = Space::new(&spec).check();
+        assert!(!full.truncated);
+        assert!(full.verdict(&SweepLog::default()).starts_with("PASS  "));
     }
 
     #[test]
-    fn sharded_sweep_matches_across_shard_depths() {
-        // Different shard depths re-partition the same space: the
-        // failure verdict and coverage must agree even though state
-        // counts differ (per-shard revisits).
-        let spec = SweepSpec::new(ProtocolKind::Mesi, 2, 1, 2);
-        let (at0, _) = run_sweep(
-            &spec,
-            &ShardOptions {
-                shard_depth: Some(0),
-                ..no_cache()
-            },
-        );
-        let (at2, _) = run_sweep(
-            &spec,
-            &ShardOptions {
-                shard_depth: Some(2),
-                ..no_cache()
-            },
-        );
-        assert!(at0.counterexample.is_none() && at2.counterexample.is_none());
-        assert!(!at0.truncated && !at2.truncated);
-        for (a, b) in at0.coverage.l1.iter().zip(&at2.coverage.l1) {
-            assert_eq!(*a > 0, *b > 0);
-        }
-        for (a, b) in at0.coverage.dir.iter().zip(&at2.coverage.dir) {
-            assert_eq!(*a > 0, *b > 0);
-        }
-    }
-
-    #[test]
-    fn mutated_sweep_reports_prefix_and_replay_command() {
+    fn mutated_sweep_reports_replay_command() {
         let spec = SweepSpec {
             mutation: Some(Mutation::SkipInvalidation),
             ..SweepSpec::new(ProtocolKind::Mesi, 2, 1, 2)
         };
-        let (outcome, _) = run_sweep(
-            &spec,
-            &ShardOptions {
-                shard_depth: Some(2),
-                ..no_cache()
-            },
-        );
+        let outcome = Space::new(&spec).check();
+        assert!(outcome.verdict(&SweepLog::default()).starts_with("FAIL  "));
         let raw = outcome.raw_counterexample.expect("mutation caught");
-        assert_eq!(raw.prefix_len, 2, "raw trace keeps the shard prefix");
-        let described = raw.describe(&spec);
-        assert!(described.contains("shard prefix (2 actions):"));
-        assert!(described.contains("[shard prefix]"));
-        assert!(described.contains("replay: gwcheck --protocol mesi"));
+        assert!(raw
+            .describe(&spec)
+            .contains("replay: gwcheck --protocol mesi"));
         let shrunk = outcome.counterexample.expect("shrunk present");
-        assert!(shrunk.trace.len() <= 20);
+        assert!(shrunk.trace.len() <= 20 && shrunk.trace.len() <= raw.trace.len());
         assert!(shrunk.describe(&spec).contains("--replay "));
+    }
+
+    /// Seeded random walks of the Ghostwriter 2c/2b ops=2 space: every
+    /// state a walk reaches goes into the compact table and into a set
+    /// of the full 192-bit keys, and both must give the same insert
+    /// verdict. Walks share their early states, so repeat inserts are
+    /// exercised as well as new ones.
+    #[test]
+    fn compact_keys_agree_with_full_keys_on_seeded_walks() {
+        let space = Space::new(&SweepSpec::new(ProtocolKind::Ghostwriter, 2, 2, 2));
+        let mut full: HashSet<(u128, u64)> = HashSet::new();
+        let mut compact = VisitedSet::default();
+        let (mut repeats, mut seed) = (0, 0x2545_F491_4F6C_DD1D_u64);
+        for _ in 0..300 {
+            let (mut sys, mut budgets) = space.initial();
+            loop {
+                let fresh = full.insert((sys.fingerprint(), budgets.bits()));
+                assert_eq!(compact.insert(state_key(&sys, budgets)), fresh);
+                repeats += !fresh as usize;
+                let actions = space.enabled(&sys, budgets);
+                if actions.is_empty() {
+                    break;
+                }
+                // xorshift64
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                let action = actions[seed as usize % actions.len()];
+                space
+                    .apply(&mut sys, &mut budgets, action)
+                    .expect("clean space");
+            }
+        }
+        assert_eq!(compact.len(), full.len());
+        assert!(
+            full.len() > 1_000 && repeats > 1_000,
+            "{} / {repeats}",
+            full.len()
+        );
     }
 }

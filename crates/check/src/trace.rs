@@ -1,7 +1,7 @@
 //! Compact, stable text encoding of action traces.
 //!
 //! Counterexamples cross three boundaries that all need the same
-//! serialized form: shard cache records on disk, the replay command
+//! serialized form: sweep cache records on disk, the replay command
 //! line a failing sweep prints, and the `gwcheck --replay` entry point
 //! that consumes it. One token per action, comma-joined:
 //!

@@ -1,6 +1,6 @@
 //! Mutation-catalog regression suite (ISSUE PR 6): every seeded-bug
-//! kind the checker supports is proven *caught* by the parallel
-//! sharded sweep, with a shrunk counterexample of at most 20 steps.
+//! kind the checker supports is proven *caught* by the unified sweep,
+//! with a shrunk counterexample of at most 20 steps.
 //!
 //! The `delete-row` cases pick one row per protocol region so a
 //! search-space regression in any region (e.g. a geometry change that
@@ -48,8 +48,8 @@ fn assert_caught(spec: SweepSpec, classify: impl Fn(&Failure) -> bool) {
         "{label}: wrong failure class: {}",
         cex.failure
     );
-    // The raw (pre-shrink) counterexample must carry its shard prefix
-    // so the report can say where the search found it.
+    // The raw (pre-shrink) counterexample is kept next to the shrunk
+    // one, so the report can say where the search found it.
     let raw = outcome.raw_counterexample.as_ref().expect("raw kept");
     assert!(raw.trace.len() >= cex.trace.len());
 }

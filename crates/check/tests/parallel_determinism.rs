@@ -1,16 +1,19 @@
-//! Determinism of the sharded parallel sweep (ISSUE PR 6).
+//! Determinism of the parallel, cached sweep.
 //!
 //! The contract under test: a sweep report is a pure function of its
-//! [`SweepSpec`] and shard depth. Worker count, scheduling, and cache
-//! state (cold vs warm) must be unobservable — `--jobs 1` and
-//! `--jobs 8` produce fingerprint-identical [`SweepOutcome`]s, and a
-//! warm re-run reproduces the cold run's bytes without searching.
+//! [`SweepSpec`]. Each cell is one single-threaded search, and
+//! `run_sweeps` runs `jobs` cells at once, so worker count, scheduling
+//! and cache state (cold vs warm) must be unobservable — `--jobs 1` and
+//! `--jobs 8` produce byte-identical [`SweepOutcome`]s in spec order,
+//! and a warm re-run reproduces the cold run's bytes without searching.
 //! This mirrors the golden-stats determinism suite in `crates/exp`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use ghostwriter_check::{run_sweep, Mutation, ProtocolKind, ShardOptions, SweepSpec};
+use ghostwriter_check::{
+    run_sweep, run_sweeps, Mutation, ProtocolKind, ShardOptions, SweepLog, SweepOutcome, SweepSpec,
+};
 
 fn no_cache(jobs: usize) -> ShardOptions {
     ShardOptions {
@@ -32,16 +35,56 @@ fn temp_cache_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Every protocol at 2c/1b ops=2.
+fn every_protocol() -> Vec<SweepSpec> {
+    ProtocolKind::ALL
+        .iter()
+        .map(|&kind| SweepSpec::new(kind, 2, 1, 2))
+        .collect()
+}
+
+/// MESI 2c/1b ops=2 with each network-layer mutation.
+fn mutated() -> Vec<SweepSpec> {
+    [Mutation::SkipInvalidation, Mutation::DropInvAck]
+        .into_iter()
+        .map(|mutation| SweepSpec {
+            mutation: Some(mutation),
+            ..SweepSpec::new(ProtocolKind::Mesi, 2, 1, 2)
+        })
+        .collect()
+}
+
+/// The batch's reports, one pretty JSON document per cell.
+fn reports(outcomes: &[(SweepOutcome, SweepLog)]) -> Vec<String> {
+    outcomes
+        .iter()
+        .map(|(o, _)| o.to_json().to_pretty())
+        .collect()
+}
+
+/// Runs `specs` at `--jobs 1` and `--jobs 8`, asserts the reports are
+/// byte-identical and in spec order, and returns the sequential run.
+fn assert_jobs_invariant(specs: &[SweepSpec]) -> Vec<(SweepOutcome, SweepLog)> {
+    let seq = run_sweeps(specs, &no_cache(1));
+    let par = run_sweeps(specs, &no_cache(8));
+    assert_eq!(seq.len(), specs.len());
+    for ((outcome, _), spec) in seq.iter().zip(specs) {
+        assert_eq!(&outcome.spec, spec, "outcomes come back in spec order");
+        assert!(!outcome.truncated, "{}", spec.label());
+    }
+    // Byte-level identity, not just equal fingerprints.
+    assert_eq!(reports(&seq), reports(&par));
+    for ((a, _), (b, _)) in seq.iter().zip(&par) {
+        assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+    seq
+}
+
 #[test]
 fn clean_sweep_is_jobs_invariant() {
-    let spec = SweepSpec::new(ProtocolKind::Mesi, 2, 1, 2);
-    let (seq, _) = run_sweep(&spec, &no_cache(1));
-    let (par, _) = run_sweep(&spec, &no_cache(8));
-    assert!(seq.counterexample.is_none());
-    assert!(!seq.truncated);
-    // Byte-level identity, not just equal fingerprints.
-    assert_eq!(seq.to_json().to_pretty(), par.to_json().to_pretty());
-    assert_eq!(seq.fingerprint(), par.fingerprint());
+    for (outcome, _) in assert_jobs_invariant(&every_protocol()) {
+        assert!(outcome.counterexample.is_none(), "{}", outcome.spec.label());
+    }
 }
 
 #[test]
@@ -50,95 +93,72 @@ fn ghostwriter_sweep_with_timeouts_is_jobs_invariant() {
         gi_timeouts: true,
         ..SweepSpec::new(ProtocolKind::Ghostwriter, 2, 1, 2)
     };
-    let (seq, _) = run_sweep(&spec, &no_cache(1));
-    let (par, _) = run_sweep(&spec, &no_cache(8));
-    assert!(seq.counterexample.is_none());
-    assert_eq!(seq.to_json().to_pretty(), par.to_json().to_pretty());
+    let seq = assert_jobs_invariant(&[spec.clone(), spec]);
+    assert!(seq[0].0.counterexample.is_none());
 }
 
 #[test]
 fn mutated_sweep_counterexample_is_jobs_invariant() {
     // The failing case is the interesting one: the counterexample (raw
-    // trace, shard prefix, shrunk trace, failure text) must come out
-    // identical no matter how shards were scheduled.
-    let spec = SweepSpec {
-        mutation: Some(Mutation::SkipInvalidation),
-        ..SweepSpec::new(ProtocolKind::Mesi, 2, 1, 2)
-    };
-    let (seq, _) = run_sweep(&spec, &no_cache(1));
-    let (par, _) = run_sweep(&spec, &no_cache(8));
-    let a = seq.counterexample.as_ref().expect("mutation caught");
-    let b = par.counterexample.as_ref().expect("mutation caught");
-    assert_eq!(a.trace, b.trace);
-    assert_eq!(a.failure.to_string(), b.failure.to_string());
-    assert_eq!(seq.to_json().to_pretty(), par.to_json().to_pretty());
-}
-
-#[test]
-fn explicit_shard_depths_are_jobs_invariant_too() {
-    // The auto depth policy is itself deterministic, but pin depths
-    // explicitly as well so a policy change can't mask a regression.
-    let spec = SweepSpec::new(ProtocolKind::Msi, 2, 1, 2);
-    for depth in [0, 1, 3] {
-        let opts = |jobs| ShardOptions {
-            shard_depth: Some(depth),
-            ..no_cache(jobs)
-        };
-        let (seq, _) = run_sweep(&spec, &opts(1));
-        let (par, _) = run_sweep(&spec, &opts(8));
-        assert_eq!(
-            seq.to_json().to_pretty(),
-            par.to_json().to_pretty(),
-            "depth {depth}"
-        );
+    // trace, shrunk trace, failure text) must come out identical no
+    // matter how the cells were scheduled.
+    for (outcome, _) in assert_jobs_invariant(&mutated()) {
+        assert!(outcome.counterexample.is_some(), "{}", outcome.spec.label());
     }
 }
 
 #[test]
-fn warm_cache_reproduces_cold_run_without_searching() {
-    let dir = temp_cache_dir("warm");
-    let spec = SweepSpec::new(ProtocolKind::Mesi, 2, 1, 2);
+fn a_batch_cell_equals_the_cell_run_alone() {
+    let specs: Vec<SweepSpec> = every_protocol().into_iter().chain(mutated()).collect();
+    let batch = run_sweeps(&specs, &no_cache(4));
+    for ((outcome, _), spec) in batch.iter().zip(&specs) {
+        let (alone, _) = run_sweep(spec, &no_cache(1));
+        assert_eq!(
+            outcome.to_json().to_pretty(),
+            alone.to_json().to_pretty(),
+            "{}",
+            spec.label()
+        );
+    }
+}
+
+/// Runs `specs` cold and then warm through one fresh cache directory,
+/// asserting the warm run searches nothing and reproduces the cold
+/// reports byte for byte; returns the warm run.
+fn assert_warm_equals_cold(tag: &str, specs: &[SweepSpec]) -> Vec<(SweepOutcome, SweepLog)> {
+    let dir = temp_cache_dir(tag);
     let opts = |jobs| ShardOptions {
         jobs,
         cache_dir: dir.clone(),
         ..Default::default()
     };
-
-    let (cold, cold_log) = run_sweep(&spec, &opts(2));
-    assert!(cold_log.executed > 0, "cold run must search");
-    assert_eq!(cold_log.cache_hits, 0);
-
-    let (warm, warm_log) = run_sweep(&spec, &opts(8));
-    assert_eq!(warm_log.executed, 0, "warm run must be all cache hits");
-    assert_eq!(warm_log.cache_hits, warm.shards);
-    assert_eq!(cold.to_json().to_pretty(), warm.to_json().to_pretty());
-    assert_eq!(cold.fingerprint(), warm.fingerprint());
-
+    let cold = run_sweeps(specs, &opts(2));
+    assert!(
+        cold.iter().all(|(_, log)| !log.cached),
+        "cold run must search"
+    );
+    let warm = run_sweeps(specs, &opts(8));
+    assert!(
+        warm.iter().all(|(_, log)| log.cached),
+        "warm run must be all cache hits"
+    );
+    assert_eq!(reports(&cold), reports(&warm));
     let _ = std::fs::remove_dir_all(&dir);
+    warm
+}
+
+#[test]
+fn warm_cache_reproduces_cold_run_without_searching() {
+    assert_warm_equals_cold("warm", &every_protocol());
 }
 
 #[test]
 fn warm_cache_reproduces_mutated_counterexample_byte_identically() {
-    // Failures are not serialized into shard records — the merge
-    // replays the recorded trace — so cold and warm runs share one
-    // code path and must agree on every byte of the counterexample.
-    let dir = temp_cache_dir("warm-mut");
-    let spec = SweepSpec {
-        mutation: Some(Mutation::DropInvAck),
-        ..SweepSpec::new(ProtocolKind::Mesi, 2, 1, 2)
-    };
-    let opts = ShardOptions {
-        jobs: 2,
-        cache_dir: dir.clone(),
-        ..Default::default()
-    };
-    let (cold, cold_log) = run_sweep(&spec, &opts);
-    let (warm, warm_log) = run_sweep(&spec, &opts);
-    assert!(cold_log.executed > 0);
-    assert_eq!(warm_log.executed, 0);
-    assert!(cold.counterexample.is_some());
-    assert_eq!(cold.to_json().to_pretty(), warm.to_json().to_pretty());
-    let _ = std::fs::remove_dir_all(&dir);
+    // Failures are not serialized into the records — replay rebuilds
+    // them — so cold and warm runs share one code path and must agree
+    // on every byte of the counterexample.
+    let warm = assert_warm_equals_cold("warm-mut", &mutated());
+    assert!(warm.iter().all(|(o, _)| o.counterexample.is_some()));
 }
 
 #[test]
@@ -152,7 +172,7 @@ fn corrupt_cache_entry_is_a_miss_not_a_wrong_answer() {
     };
     let (cold, _) = run_sweep(&spec, &opts);
 
-    // Truncate every cached shard file mid-payload.
+    // Truncate the cached record mid-payload.
     let mut clobbered = 0;
     for entry in std::fs::read_dir(&dir).expect("cache dir exists") {
         let path = entry.unwrap().path();
@@ -162,11 +182,13 @@ fn corrupt_cache_entry_is_a_miss_not_a_wrong_answer() {
             clobbered += 1;
         }
     }
-    assert!(clobbered > 0);
+    assert_eq!(clobbered, 1, "one record per sweep");
 
     let (rerun, log) = run_sweep(&spec, &opts);
-    assert_eq!(log.corrupt, clobbered, "every clobbered entry re-ran");
-    assert_eq!(log.executed, clobbered);
+    assert!(log.corrupt && !log.cached, "the clobbered record re-ran");
     assert_eq!(cold.to_json().to_pretty(), rerun.to_json().to_pretty());
+    let (warm, log) = run_sweep(&spec, &opts);
+    assert!(log.cached, "the re-run stored a good record again");
+    assert_eq!(cold.to_json().to_pretty(), warm.to_json().to_pretty());
     let _ = std::fs::remove_dir_all(&dir);
 }

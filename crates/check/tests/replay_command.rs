@@ -61,15 +61,14 @@ fn printed_replay_command_reproduces_the_failure() {
 
 #[test]
 fn raw_counterexample_replay_command_also_reproduces() {
-    // The pre-shrink trace (with its shard prefix) must replay too —
-    // it is what the search actually walked.
+    // The pre-shrink trace must replay too — it is what the search
+    // actually walked.
     let spec = SweepSpec {
         mutation: Some(Mutation::DropInvAck),
         ..SweepSpec::new(ProtocolKind::Mesi, 2, 1, 2)
     };
     let (outcome, _) = run_sweep(&spec, &opts());
     let raw = outcome.raw_counterexample.expect("mutation caught");
-    assert!(raw.prefix_len > 0, "raw trace keeps its shard prefix");
     let argv = replay_argv(&raw.describe(&spec));
     let (code, stdout) = run_gwcheck(&argv);
     assert_eq!(code, 1, "raw replay must reproduce:\n{stdout}");

@@ -21,7 +21,10 @@
 //! the summed program, state and transition counts and the transition
 //! rows hit, with a fingerprint of the per-row counts.
 //!
-//! The shard cache is off, so every run really searches. Regenerate
+//! The sweep cache is off, so every run really searches. The sweep
+//! goldens were generated with full 192-bit state keys (fingerprint and
+//! budgets, no compaction), so a match also audits the 64-bit
+//! hash-compacted visited set for collisions on these sweeps. Regenerate
 //! (only for an intended change to the searched space) with
 //! `UPDATE_GOLDEN=1 cargo test -p ghostwriter-check --test sweep_golden`.
 

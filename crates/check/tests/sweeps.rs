@@ -143,7 +143,7 @@ fn unknown_row_names_do_not_parse() {
     assert!(Mutation::parse("delete-row:").is_none());
 }
 
-// ---- differential: unified sharded search vs per-program sweep -------
+// ---- differential: unified search vs per-program sweep ---------------
 //
 // The unified search replaces the per-program outer loop with one
 // search (Issue actions choose the step, budgeted per core). The
@@ -161,13 +161,10 @@ fn assert_unified_matches_per_program(kind: ProtocolKind, gi: bool) {
         gi_timeouts: gi,
         ..SweepSpec::new(kind, 2, 1, 2)
     };
-    // Depth 0 = a single shard with one visited set, so `states` is
-    // the exact distinct-state count of the unified space (deeper
-    // plans deterministically over-count states that sibling shards
-    // both reach; see docs/checking.md).
+    // One search over one visited set, so `states` is the exact
+    // distinct-state count of the unified space.
     let opts = ShardOptions {
         jobs: 2,
-        shard_depth: Some(0),
         use_cache: false,
         ..Default::default()
     };

@@ -1259,7 +1259,7 @@ impl System {
 /// The lane step is one xor and one multiply because its latency is
 /// the fingerprint's critical path: a rotation inside the chain made a
 /// fingerprint about a fifth slower. The bits are in-process only:
-/// nothing on disk depends on them (shard cache keys are textual, see
+/// nothing on disk depends on them (sweep cache keys are textual, see
 /// `SweepSpec::key` in the checker).
 struct StateHasher {
     a: u64,

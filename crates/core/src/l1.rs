@@ -280,6 +280,39 @@ pub fn home_bank(block: BlockAddr, banks: usize) -> usize {
     Homing::new(banks).home(block)
 }
 
+/// [`L1Cache::row`] over the fields it reads, for callers that hold a
+/// borrow of the cache lines. Inlined so `row`, on every dispatch, stays
+/// as it was before the split.
+#[inline(always)]
+fn fire_row(
+    core: usize,
+    disabled: Option<L1RowId>,
+    id: L1RowId,
+    stats: &mut Stats,
+) -> Result<(), ProtocolError> {
+    stats.coverage.l1[id as usize] += 1;
+    if disabled == Some(id) {
+        return Err(ProtocolError::row(
+            Controller::L1 { core },
+            id.name(),
+            "row deleted by mutation",
+        ));
+    }
+    Ok(())
+}
+
+/// [`L1Cache::msg`] over the fields it reads.
+#[inline(always)]
+fn msg_to_home(core: usize, homing: Homing, block: BlockAddr, payload: Payload) -> Msg {
+    Msg {
+        src: Endpoint::L1(core),
+        dst: Endpoint::Dir(homing.home(block)),
+        block,
+        payload,
+        tag: WireTag::default(),
+    }
+}
+
 impl L1Cache {
     /// Builds an L1 with `sets × ways` lines for core `core` in a machine
     /// with `banks` L2 banks.
@@ -400,15 +433,7 @@ impl L1Cache {
     /// Table dispatch: records the row hit in the coverage counters and
     /// refuses to fire a row deleted by a checker mutation.
     fn row(&self, id: L1RowId, stats: &mut Stats) -> Result<(), ProtocolError> {
-        stats.coverage.l1[id as usize] += 1;
-        if self.disabled == Some(id) {
-            return Err(ProtocolError::row(
-                self.ctl(),
-                id.name(),
-                "row deleted by mutation",
-            ));
-        }
-        Ok(())
+        fire_row(self.core, self.disabled, id, stats)
     }
 
     /// An error (`Reach::Never`) row fired: record the hit and build the
@@ -472,14 +497,7 @@ impl L1Cache {
     }
 
     fn msg(&self, block: BlockAddr, payload: Payload) -> Msg {
-        let dst = Endpoint::Dir(self.homing.home(block));
-        Msg {
-            src: Endpoint::L1(self.core),
-            dst,
-            block,
-            payload,
-            tag: WireTag::default(),
-        }
+        msg_to_home(self.core, self.homing, block, payload)
     }
 
     /// Opens a coherence transaction: records the pending demand access
@@ -1504,35 +1522,36 @@ impl L1Cache {
         Ok(out)
     }
 
-    /// Allocation-free form of [`L1Cache::context_switch_forfeit`].
+    /// Allocation-free form of [`L1Cache::context_switch_forfeit`]: the
+    /// lines are rewritten in place, in cache order.
     pub fn context_switch_forfeit_into(
         &mut self,
         stats: &mut Stats,
         out: &mut Vec<L1Out>,
     ) -> Result<(), ProtocolError> {
-        let approx: Vec<(BlockAddr, L1State)> = self
-            .cache
-            .iter()
-            .filter(|l| matches!(l.meta.state, L1State::Gs | L1State::Gi))
-            .map(|l| (l.block, l.meta.state))
-            .collect();
-        for (block, state) in approx {
-            let row = if state == L1State::Gs {
-                L1RowId::CtxForfeitGs
-            } else {
-                L1RowId::CtxForfeitGi
+        // The loop borrows `cache`, so the row dispatch and the PutS
+        // build read the other fields directly.
+        let (core, disabled, homing) = (self.core, self.disabled, self.homing);
+        for line in self.cache.iter_mut() {
+            let row = match line.meta.state {
+                L1State::Gs => L1RowId::CtxForfeitGs,
+                L1State::Gi => L1RowId::CtxForfeitGi,
+                _ => continue,
             };
-            self.row(row, stats)?;
-            let line = self.cache.get_mut(block).unwrap();
+            fire_row(core, disabled, row, stats)?;
+            if line.meta.state == L1State::Gi {
+                self.gi_lines -= 1;
+            } else {
+                out.push(L1Out::Send(msg_to_home(
+                    core,
+                    homing,
+                    line.block,
+                    Payload::PutS,
+                )));
+            }
             line.meta.state = L1State::I;
             line.meta.hidden_writes = 0;
-            if state == L1State::Gi {
-                self.gi_lines -= 1;
-            }
             stats.approx_evictions += 1;
-            if state == L1State::Gs {
-                out.push(L1Out::Send(self.msg(block, Payload::PutS)));
-            }
         }
         Ok(())
     }

@@ -38,7 +38,7 @@ use crate::fingerprint::{fnv64, Fingerprint};
 /// whose serializer and parser are strict inverses (re-serializing a
 /// parsed record must reproduce the stored bytes — that is what the
 /// checksum verifies). [`crate::record::RunRecord`] is the experiment
-/// engine's payload; the model checker caches its sweep shards through
+/// engine's payload; the model checker caches its sweeps through
 /// the same trait.
 pub trait CacheRecord: Sized {
     /// Canonical JSON payload.
